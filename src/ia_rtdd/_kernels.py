@@ -1,125 +1,37 @@
-"""Hot numeric kernels with a numba backend and a pure-numpy fallback.
+"""Hot numeric kernels, in numpy.
 
 Two inner loops dominate runtime: the alternating leakage-minimization
 iteration and the exhaustive subset scan behind the combinatorial
-feasibility conditions.  Both are provided here in two flavours selected at
-import time by the ``IA_RTDD_BACKEND`` environment variable:
-
-* ``auto`` (default) - compile with numba when it is importable,
-* ``numba``          - require numba, raise if missing,
-* ``numpy``          - skip JIT compilation entirely.
-
-`benchmarks/bench_backends.py` times the two flavours against each other.
+feasibility conditions.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
+BACKEND = "numpy"
+_PHASE_TOL = 1e-12
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - environment dependent
-    njit = None
-    HAVE_NUMBA = False
 
-_choice = os.environ.get("IA_RTDD_BACKEND", "auto").strip().lower()
-if _choice in ("numba", "jit"):
-    if not HAVE_NUMBA:
-        raise ImportError("IA_RTDD_BACKEND=numba but numba is not importable")
-    USE_NUMBA = True
-elif _choice in ("numpy", "python", "none"):
-    USE_NUMBA = False
-elif _choice in ("auto", ""):
-    USE_NUMBA = HAVE_NUMBA
-else:
-    raise ValueError(f"unrecognized IA_RTDD_BACKEND value: {_choice!r}")
+def fix_column_phases(mat):
+    """Rotate each column so its first non-negligible entry is real positive.
 
-BACKEND = "numba" if USE_NUMBA else "numpy"
+    An entry is non-negligible when its magnitude exceeds ``_PHASE_TOL``
+    times the column's largest; an all-zero column is returned unchanged.
+    ``mat`` may be a stack of matrices; each is treated on its own.
+    """
+    mat = np.asarray(mat, dtype=np.complex128)
+    mags = np.abs(mat)
+    tol = _PHASE_TOL * mags.max(axis=-2, keepdims=True)
+    lead = (mags > tol).argmax(axis=-2)[..., None, :]
+    pivot = np.take_along_axis(mat, lead, axis=-2)
+    pivot_mag = np.abs(pivot)
+    scale = np.ones_like(pivot)
+    np.divide(pivot.conj(), pivot_mag, out=scale, where=pivot_mag > tol)
+    return mat * scale
 
 
 # ---------------------------------------------------------------------------
 # subset-pair scan
 # ---------------------------------------------------------------------------
-
-def _mask_lex_less(m1, m2):
-    """Compare two bitmask subsets as ascending index tuples.
-
-    (0,2) sorts before (1,) and a strict prefix sorts before its extension,
-    matching Python tuple comparison on sorted member lists.
-    """
-    while True:
-        if m1 == m2:
-            return False
-        if m1 == 0:
-            return True
-        if m2 == 0:
-            return False
-        b1 = m1 & (-m1)
-        b2 = m2 & (-m2)
-        if b1 != b2:
-            return b1 < b2
-        m1 ^= b1
-        m2 ^= b2
-
-
-def _pair_lex_less(a1, b1, a2, b2):
-    if a1 != a2:
-        return _mask_lex_less(a1, a2)
-    return _mask_lex_less(b1, b2)
-
-
-def _subset_scan_loop(d_a, n_a, d_b, n_b):
-    """Scan every subset pair for violations of the two per-subset conditions.
-
-    For subsets ``Ia`` of the downlink users and ``Ib`` of the uplink users:
-
-    * antenna bound:   sum(d, Ia) + sum(d, Ib) <= max(sum(N, Ia), sum(N, Ib))
-    * counting bound:  sum(d, Ia) * sum(d, Ib) <= sum(d(N-d), Ia) + sum(d(N-d), Ib)
-
-    Returns four int64 masks ``(bound_a, bound_b, count_a, count_b)`` holding
-    the lexicographically first violating pair per condition, -1 when none.
-    """
-    K = d_a.shape[0]
-    L = d_b.shape[0]
-    sd_a = np.zeros(1 << K, dtype=np.int64)
-    sn_a = np.zeros(1 << K, dtype=np.int64)
-    sv_a = np.zeros(1 << K, dtype=np.int64)
-    for j in range(K):
-        half = 1 << j
-        for m in range(half):
-            sd_a[half + m] = sd_a[m] + d_a[j]
-            sn_a[half + m] = sn_a[m] + n_a[j]
-            sv_a[half + m] = sv_a[m] + d_a[j] * (n_a[j] - d_a[j])
-    sd_b = np.zeros(1 << L, dtype=np.int64)
-    sn_b = np.zeros(1 << L, dtype=np.int64)
-    sv_b = np.zeros(1 << L, dtype=np.int64)
-    for j in range(L):
-        half = 1 << j
-        for m in range(half):
-            sd_b[half + m] = sd_b[m] + d_b[j]
-            sn_b[half + m] = sn_b[m] + n_b[j]
-            sv_b[half + m] = sv_b[m] + d_b[j] * (n_b[j] - d_b[j])
-
-    bound_a = np.int64(-1)
-    bound_b = np.int64(-1)
-    count_a = np.int64(-1)
-    count_b = np.int64(-1)
-    for ma in range(1 << K):
-        for mb in range(1 << L):
-            lhs = sd_a[ma] + sd_b[mb]
-            rhs = sn_a[ma] if sn_a[ma] >= sn_b[mb] else sn_b[mb]
-            if lhs > rhs:
-                if bound_a < 0 or _pair_lex_less(ma, mb, bound_a, bound_b):
-                    bound_a = np.int64(ma)
-                    bound_b = np.int64(mb)
-            if sd_a[ma] * sd_b[mb] > sv_a[ma] + sv_b[mb]:
-                if count_a < 0 or _pair_lex_less(ma, mb, count_a, count_b):
-                    count_a = np.int64(ma)
-                    count_b = np.int64(mb)
-    return bound_a, bound_b, count_a, count_b
-
 
 def _mask_key(m):
     """Sorted-tuple view of a bitmask, usable as a lexicographic sort key."""
@@ -134,7 +46,7 @@ def _mask_key(m):
 
 
 def _side_sums(d, n):
-    size = d.shape[0]
+    size = len(d)
     sd = np.zeros(1 << size, dtype=np.int64)
     sn = np.zeros(1 << size, dtype=np.int64)
     sv = np.zeros(1 << size, dtype=np.int64)
@@ -150,32 +62,54 @@ def _side_sums(d, n):
 def _lex_min_pair(viol):
     rows = np.flatnonzero(viol.any(axis=1))
     if rows.size == 0:
-        return -1, -1
+        return None
     ma = min(rows.tolist(), key=_mask_key)
-    cols = np.flatnonzero(viol[ma])
-    mb = min(cols.tolist(), key=_mask_key)
+    mb = min(np.flatnonzero(viol[ma]).tolist(), key=_mask_key)
     return ma, mb
 
 
-def _subset_scan_vec(d_a, n_a, d_b, n_b):
-    """Vectorized twin of `_subset_scan_loop` (same outputs, numpy broadcasting)."""
+def subset_scan(d_a, n_a, d_b, n_b):
+    """Find the lexicographically first violating subset pair per condition.
+
+    For subsets ``Ia`` of the downlink users and ``Ib`` of the uplink users:
+
+    * antenna bound:   sum(d, Ia) + sum(d, Ib) <= max(sum(N, Ia), sum(N, Ib))
+    * counting bound:  sum(d, Ia) * sum(d, Ib) <= sum(d(N-d), Ia) + sum(d(N-d), Ib)
+
+    Returns ``(bound_pair, count_pair)`` where each entry is either ``None``
+    or an ``(alpha_mask, beta_mask)`` tuple of Python ints.
+    """
     sd_a, sn_a, sv_a = _side_sums(d_a, n_a)
     sd_b, sn_b, sv_b = _side_sums(d_b, n_b)
     tot = sd_a[:, None] + sd_b[None, :]
     cap = np.maximum(sn_a[:, None], sn_b[None, :])
-    bound_a, bound_b = _lex_min_pair(tot > cap)
+    bound = _lex_min_pair(tot > cap)
     eqs = sd_a[:, None] * sd_b[None, :]
     vars_ = sv_a[:, None] + sv_b[None, :]
-    count_a, count_b = _lex_min_pair(eqs > vars_)
-    return np.int64(bound_a), np.int64(bound_b), np.int64(count_a), np.int64(count_b)
+    count = _lex_min_pair(eqs > vars_)
+    return bound, count
 
 
 # ---------------------------------------------------------------------------
 # alternating leakage minimization
 # ---------------------------------------------------------------------------
 
-def _alignment_loop(g_pad, n_alpha, n_beta, d_alpha, d_beta,
-                    w_alpha, w_beta, u0_pad, max_iters, rel_stop):
+def _shape_groups(n, d):
+    """Active users (``d > 0``) grouped by ``(n, d)``, as ``[((n, d), users)]``."""
+    groups = {}
+    for i, (n_i, d_i) in enumerate(zip(n, d)):
+        if d_i:
+            groups.setdefault((n_i, d_i), []).append(i)
+    return list(groups.items())
+
+
+def _gram(t):
+    """``t @ t^H`` for a stack of matrices."""
+    return t @ np.ascontiguousarray(t.conj().swapaxes(-1, -2))
+
+
+def alignment_loop(g_pad, n_alpha, n_beta, d_alpha, d_beta,
+                   w_alpha, w_beta, u0_pad, max_iters, rel_stop):
     """Alternate eigenvector updates of receive/transmit filters on the cross links.
 
     ``g_pad`` is a zero-padded (K, L, max N_a, max N_b) stack of cross
@@ -189,125 +123,68 @@ def _alignment_loop(g_pad, n_alpha, n_beta, d_alpha, d_beta,
     iteration's total.  Returns
     ``(u_pad, v_pad, totals, per_user, n_iters, converged)``.
     """
-    K = n_alpha.shape[0]
-    L = n_beta.shape[0]
+    K = len(n_alpha)
+    L = len(n_beta)
     nb_max = g_pad.shape[3]
-    db_max = 0
-    for l in range(L):
-        if d_beta[l] > db_max:
-            db_max = d_beta[l]
     u_pad = u0_pad.copy()
-    v_pad = np.zeros((L, nb_max, max(db_max, 1)), dtype=np.complex128)
+    v_pad = np.zeros((L, nb_max, max(max(d_beta), 1)), dtype=np.complex128)
     totals = np.zeros(max_iters)
     per_user = np.zeros((max_iters, K))
     n_iters = 0
     converged = False
+    # Users with streams, grouped by filter shape: each group's products,
+    # eigh and phase fix run as one stacked call.  The covariances still add
+    # one user's term at a time in user order, so the arithmetic is that of
+    # a per-user loop.
+    ga = _shape_groups(n_alpha, d_alpha)
+    gb = _shape_groups(n_beta, d_beta)
+    order_a = sorted((k, i, pos) for i, (_, ks) in enumerate(ga)
+                     for pos, k in enumerate(ks))
+    order_b = sorted((l, j, pos) for j, (_, ls) in enumerate(gb)
+                     for pos, l in enumerate(ls))
+    w_a = [np.array([w_alpha[k] for k in ks])[:, None, None] for _, ks in ga]
+    w_b = [np.array([w_beta[l] for l in ls])[:, None, None] for _, ls in gb]
+    # channel blocks between two groups as (alpha users, beta users, na, nb),
+    # and conjugate-transposed as (beta users, alpha users, nb, na)
+    g, g_h = {}, {}
+    for i, ((na, _), ks) in enumerate(ga):
+        for j, ((nb, _), ls) in enumerate(gb):
+            blk = g_pad[np.ix_(ks, ls)][:, :, :na, :nb]
+            g[i, j] = np.ascontiguousarray(blk)
+            g_h[j, i] = np.ascontiguousarray(blk.conj().transpose(1, 0, 3, 2))
+    u = [np.ascontiguousarray(u0_pad[ks, :na, :da]) for (na, da), ks in ga]
+    v = [None] * len(gb)
     for it in range(max_iters):
-        for l in range(L):
-            nb = n_beta[l]
-            db = d_beta[l]
-            if db == 0:
-                continue
-            cov = np.zeros((nb, nb), dtype=np.complex128)
-            for k in range(K):
-                na = n_alpha[k]
-                da = d_alpha[k]
-                if da == 0:
-                    continue
-                g = np.ascontiguousarray(g_pad[k, l, :na, :nb])
-                u = np.ascontiguousarray(u_pad[k, :na, :da])
-                t = np.ascontiguousarray(g.conj().T) @ u
-                cov += w_alpha[k] * (t @ np.ascontiguousarray(t.conj().T))
+        for j, ((nb, db), ls) in enumerate(gb):
+            terms = [w_a[i] * _gram(g_h[j, i] @ u[i]) for i in range(len(ga))]
+            cov = np.zeros((len(ls), nb, nb), dtype=np.complex128)
+            for _, i, pos in order_a:
+                cov += terms[i][:, pos]
             _, vecs = np.linalg.eigh(cov)
-            for c in range(db):
-                col = vecs[:, c].copy()
-                tol = 1e-12 * np.abs(col).max()
-                for r in range(nb):
-                    mag = np.abs(col[r])
-                    if mag > tol:
-                        col = col * (np.conj(col[r]) / mag)
-                        break
-                v_pad[l, :nb, c] = col
-        total = 0.0
-        for k in range(K):
-            na = n_alpha[k]
-            da = d_alpha[k]
-            if da == 0:
-                continue
-            cov = np.zeros((na, na), dtype=np.complex128)
-            for l in range(L):
-                nb = n_beta[l]
-                db = d_beta[l]
-                if db == 0:
-                    continue
-                g = np.ascontiguousarray(g_pad[k, l, :na, :nb])
-                v = np.ascontiguousarray(v_pad[l, :nb, :db])
-                t = g @ v
-                cov += w_beta[l] * (t @ np.ascontiguousarray(t.conj().T))
+            v[j] = np.ascontiguousarray(fix_column_phases(vecs[..., :db]))
+        for i, ((na, da), ks) in enumerate(ga):
+            terms = [w_b[j] * _gram(g[i, j] @ v[j]) for j in range(len(gb))]
+            cov = np.zeros((len(ks), na, na), dtype=np.complex128)
+            for _, j, pos in order_b:
+                cov += terms[j][:, pos]
             vals, vecs = np.linalg.eigh(cov)
-            leak = 0.0
-            for c in range(da):
-                col = vecs[:, c].copy()
-                tol = 1e-12 * np.abs(col).max()
-                for r in range(na):
-                    mag = np.abs(col[r])
-                    if mag > tol:
-                        col = col * (np.conj(col[r]) / mag)
-                        break
-                u_pad[k, :na, c] = col
-                if vals[c] > 0.0:
-                    leak += vals[c]
-            per_user[it, k] = leak
-            total += leak
+            u[i] = np.ascontiguousarray(fix_column_phases(vecs[..., :da]))
+            for k, user_vals in zip(ks, vals[:, :da].tolist()):
+                leak = 0.0
+                for val in user_vals:
+                    if val > 0.0:
+                        leak += val
+                per_user[it, k] = leak
+        total = 0.0
+        for k, _, _ in order_a:
+            total += per_user[it, k]
         totals[it] = total
         n_iters = it + 1
         if total <= rel_stop * totals[0]:
             converged = True
             break
+    for ((na, da), ks), u_g in zip(ga, u):
+        u_pad[ks, :na, :da] = u_g
+    for ((nb, db), ls), v_g in zip(gb, v):
+        v_pad[ls, :nb, :db] = v_g
     return u_pad, v_pad, totals, per_user, n_iters, converged
-
-
-if USE_NUMBA:
-    _mask_lex_less = njit(cache=True)(_mask_lex_less)
-    _pair_lex_less = njit(cache=True)(_pair_lex_less)
-    _subset_scan_loop = njit(cache=True)(_subset_scan_loop)
-    _alignment_loop_py = _alignment_loop
-    _alignment_loop = njit(cache=True)(_alignment_loop)
-else:
-    _alignment_loop_py = _alignment_loop
-
-
-def subset_scan(d_a, n_a, d_b, n_b):
-    """Find the lexicographically first violating subset pair per condition.
-
-    Returns ``(bound_pair, count_pair)`` where each entry is either ``None``
-    or an ``(alpha_mask, beta_mask)`` tuple of Python ints.
-    """
-    d_a = np.asarray(d_a, dtype=np.int64)
-    n_a = np.asarray(n_a, dtype=np.int64)
-    d_b = np.asarray(d_b, dtype=np.int64)
-    n_b = np.asarray(n_b, dtype=np.int64)
-    if USE_NUMBA:
-        ba, bb, ca, cb = _subset_scan_loop(d_a, n_a, d_b, n_b)
-    else:
-        ba, bb, ca, cb = _subset_scan_vec(d_a, n_a, d_b, n_b)
-    bound = None if ba < 0 else (int(ba), int(bb))
-    count = None if ca < 0 else (int(ca), int(cb))
-    return bound, count
-
-
-def alignment_loop(g_pad, n_alpha, n_beta, d_alpha, d_beta,
-                   w_alpha, w_beta, u0_pad, max_iters, rel_stop):
-    """Backend-dispatched alternating minimization; see `_alignment_loop`."""
-    return _alignment_loop(
-        np.ascontiguousarray(g_pad, dtype=np.complex128),
-        np.asarray(n_alpha, dtype=np.int64),
-        np.asarray(n_beta, dtype=np.int64),
-        np.asarray(d_alpha, dtype=np.int64),
-        np.asarray(d_beta, dtype=np.int64),
-        np.asarray(w_alpha, dtype=np.float64),
-        np.asarray(w_beta, dtype=np.float64),
-        np.ascontiguousarray(u0_pad, dtype=np.complex128),
-        int(max_iters),
-        float(rel_stop),
-    )

@@ -19,7 +19,7 @@ from .errors import ConfigError, SingularSystemError
 from .model import NetworkConfig, RngStream, complex_gaussian, validate_config
 
 COND_LIMIT = 1e12
-_PHASE_TOL = 1e-12
+FLOAT_FORMAT = "%.9g"  # every float written to CSV or JSON output
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,6 @@ class PowerProfile:
 class IterationOptions:
     max_iters: int = 5000
     leakage_stop: float = 1e-10
-    record_trace: bool = True
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -69,14 +68,14 @@ class LeakageTrace:
     def final(self):
         return float(self.totals[-1])
 
-    def write_csv(self, fh, float_fmt="%.9g"):
+    def write_csv(self, fh):
         k_users = self.per_user.shape[1]
         header = ["iteration", "total_leakage"]
         header += [f"leakage_alpha_{k + 1}" for k in range(k_users)]
         fh.write(",".join(header) + "\n")
         for i in range(len(self.totals)):
-            row = [str(i + 1), float_fmt % self.totals[i]]
-            row += [float_fmt % v for v in self.per_user[i]]
+            row = [str(i + 1), FLOAT_FORMAT % self.totals[i]]
+            row += [FLOAT_FORMAT % v for v in self.per_user[i]]
             fh.write(",".join(row) + "\n")
 
 
@@ -94,19 +93,6 @@ class BeamformerSet:
     v_alpha: tuple
     u_beta: tuple
     v_beta: tuple
-
-
-def _fix_column_phases(mat):
-    """Rotate each column so its first non-negligible entry is real positive."""
-    out = np.array(mat, dtype=np.complex128, copy=True)
-    for c in range(out.shape[1]):
-        col = out[:, c]
-        mags = np.abs(col)
-        lead = np.flatnonzero(mags > _PHASE_TOL * mags.max())
-        if lead.size:
-            j = lead[0]
-            out[:, c] = col * (np.conj(col[j]) / mags[j])
-    return out
 
 
 def init_postcoders(config, dof, rng):
@@ -164,7 +150,7 @@ def update_v_beta(cov, d):
     if d > cov.shape[0]:
         raise ConfigError(f"cannot extract {d} eigenvectors from size {cov.shape[0]}")
     _, vecs = np.linalg.eigh(0.5 * (cov + cov.conj().T))
-    return _fix_column_phases(vecs[:, :d])
+    return _kernels.fix_column_phases(vecs[:, :d])
 
 
 def _channel_dims(channels):
@@ -215,8 +201,7 @@ def iterate_alignment(channels, dof, powers, opts=None, rng=None):
 
     u_alpha = tuple(u_pad[k, :n_alpha[k], :dof.d_alpha[k]].copy() for k in range(K))
     v_beta = tuple(v_pad[l, :n_beta[l], :dof.d_beta[l]].copy() for l in range(L))
-    lo = 0 if opts.record_trace else n_iters - 1
-    trace = LeakageTrace(totals[lo:n_iters].copy(), per_user[lo:n_iters].copy(),
+    trace = LeakageTrace(totals[:n_iters].copy(), per_user[:n_iters].copy(),
                          bool(converged))
     return u_alpha, v_beta, trace
 

@@ -22,17 +22,16 @@ import os
 import sys
 
 from . import evaluate, feasibility
-from .beamform import IterationOptions, construct_beamformers, residual_report
+from .beamform import (FLOAT_FORMAT, IterationOptions,
+                       construct_beamformers, residual_report)
 from .errors import IaRtddError
 from .model import (DofAllocation, NetworkConfig, RngStream, sample_channels,
                     validate_config)
 
-FLOAT_FMT = "%.9g"
-
 
 def _round_floats(obj):
     if isinstance(obj, float):
-        return float(FLOAT_FMT % obj)
+        return float(FLOAT_FORMAT % obj)
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -212,7 +211,7 @@ def _cmd_simulate_leakage(args):
         }, args.out)
     else:
         buf = io.StringIO()
-        trace.write_csv(buf, FLOAT_FMT)
+        trace.write_csv(buf)
         _emit(buf.getvalue(), args.out)
     return 0
 
@@ -228,7 +227,7 @@ def _cmd_simulate_sumrate(args):
         _emit_json(result.to_dict(), args.out)
     else:
         buf = io.StringIO()
-        result.write_csv(buf, FLOAT_FMT)
+        result.write_csv(buf)
         _emit(buf.getvalue(), args.out)
     return 0
 

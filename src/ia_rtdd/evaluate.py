@@ -14,9 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamform import PowerProfile, construct_beamformers, _guarded_pinv
+from .beamform import (FLOAT_FORMAT, PowerProfile, construct_beamformers,
+                       _guarded_pinv)
 from .errors import NumericalError, SingularSystemError
-from .model import RngStream, sample_channels, validate_config
+from .model import (RngStream, sample_channels, validate_config,
+                    validate_trials)
 
 _LN2 = math.log(2.0)
 
@@ -216,6 +218,7 @@ def baseline_single_cell(config, snr_db, trials, seed):
     downlink splits the SNR budget over its active users while every uplink
     user transmits at the SNR, matching the sweep's power convention.
     """
+    validate_trials(trials)
     power = snr_to_power(snr_db)
     sum_alpha = 0.0
     sum_beta = 0.0
@@ -241,7 +244,7 @@ class SweepResult:
     trials: int
     seed: int
 
-    def write_csv(self, fh, float_fmt="%.9g"):
+    def write_csv(self, fh):
         k_users = len(self.mean_alpha[0]) if self.mean_alpha else 0
         l_users = len(self.mean_beta[0]) if self.mean_beta else 0
         header = ["snr_db", "mean_sum_rate"]
@@ -251,11 +254,12 @@ class SweepResult:
                    "trials_failed"]
         fh.write(",".join(header) + "\n")
         for i in range(len(self.snr_db)):
-            row = [float_fmt % self.snr_db[i], float_fmt % self.mean_sum_rate[i]]
-            row += [float_fmt % v for v in self.mean_alpha[i]]
-            row += [float_fmt % v for v in self.mean_beta[i]]
-            row += [float_fmt % self.baseline_single_cell[i],
-                    float_fmt % self.baseline_p2p[i],
+            row = [FLOAT_FORMAT % self.snr_db[i],
+                   FLOAT_FORMAT % self.mean_sum_rate[i]]
+            row += [FLOAT_FORMAT % v for v in self.mean_alpha[i]]
+            row += [FLOAT_FORMAT % v for v in self.mean_beta[i]]
+            row += [FLOAT_FORMAT % self.baseline_single_cell[i],
+                    FLOAT_FORMAT % self.baseline_p2p[i],
                     str(self.trials_ok[i]), str(self.trials_failed[i])]
             fh.write(",".join(row) + "\n")
 
@@ -289,6 +293,7 @@ def monte_carlo_sweep(config, dof, snr_grid_db, trials, opts=None, seed=0):
     point only fails when every trial failed (mean reported as NaN).
     """
     validate_config(config, dof)
+    validate_trials(trials)
     K, L = config.num_alpha, config.num_beta
     grid = [float(s) for s in snr_grid_db]
     rows = {"sum": [], "alpha": [], "beta": [], "single": [], "p2p": [],

@@ -26,12 +26,13 @@ import numpy as np
 from . import _kernels
 from .errors import BudgetError, ConfigError, MatchingError, SubsetLimitError
 from .model import (ChannelSet, DofAllocation, NetworkConfig, RngStream,
-                    partition_cross, sample_channels, validate_config)
+                    partition_cross, sample_channels, validate_config,
+                    validate_trials)
 
 DEFAULT_SUBSET_LIMIT = 20
 DEFAULT_SEARCH_BUDGET = 2_000_000
 DEFAULT_RANK_TRIALS = 5
-RANK_TOL = 1e-10
+RANK_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -250,27 +251,28 @@ def build_alignment_matrix(channels, dof):
     return mat, layout
 
 
-def numeric_rank(a, tol_factor=RANK_TOL):
-    """SVD rank with threshold tol_factor * sigma_max * max(shape)."""
+def numeric_rank(a):
+    """SVD rank with threshold RANK_RTOL * sigma_max * max(shape)."""
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
     if s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > tol_factor * s[0] * max(a.shape)))
+    return int(np.count_nonzero(s > RANK_RTOL * s[0] * max(a.shape)))
 
 
-def check_sufficient(config, dof, trials=DEFAULT_RANK_TRIALS, rng=None,
-                     rank_tol=RANK_TOL):
+def check_sufficient(config, dof, trials=DEFAULT_RANK_TRIALS, rng=None):
     """Achievability test: stream budgets plus generic full row rank.
 
     Draws ``trials`` independent channel realizations, builds the alignment
     coefficient matrix for each, and requires a strict majority to reach
     full row rank.  A matrix with more rows than columns is reported as
     structurally impossible without sampling; a matrix with zero rows passes
-    vacuously (no cross-interference equations to solve).
+    vacuously (no cross-interference equations to solve).  Raises
+    `ConfigError` unless ``trials >= 1``.
     """
     validate_config(config, dof)
+    validate_trials(trials)
     if rng is None:
         rng = RngStream(0, 0)
     conditions = _budget_conditions(config, dof)
@@ -293,7 +295,7 @@ def check_sufficient(config, dof, trials=DEFAULT_RANK_TRIALS, rng=None,
     for t in range(trials):
         channels = sample_channels(config, rng.shifted(t))
         mat, _ = build_alignment_matrix(channels, dof)
-        ranks.append(numeric_rank(mat, rank_tol))
+        ranks.append(numeric_rank(mat))
     full = sum(1 for r in ranks if r == layout.n_rows)
     witness.update({"ranks": ranks, "full_rank_trials": full, "trials": trials})
     conditions.append(ConditionResult("rank", 2 * full > trials, witness))

@@ -19,12 +19,22 @@ import numpy as np
 from .errors import ConfigError
 
 
-def _as_int_tuple(values, name):
+def _as_int(value, name):
+    """``value`` as a Python int; bools and non-integral values are rejected."""
     try:
-        out = tuple(int(v) for v in values)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a sequence of integers, got {values!r}")
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or out != value or isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     return out
+
+
+def _as_int_tuple(values, name):
+    if isinstance(values, str) or not hasattr(values, "__iter__"):
+        raise ConfigError(
+            f"{name} must be a sequence of integers, got {values!r}")
+    return tuple(_as_int(v, f"{name}[{i + 1}]") for i, v in enumerate(values))
 
 
 @dataclass(frozen=True)
@@ -37,8 +47,8 @@ class NetworkConfig:
     n_beta: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "m_alpha", int(self.m_alpha))
-        object.__setattr__(self, "m_beta", int(self.m_beta))
+        object.__setattr__(self, "m_alpha", _as_int(self.m_alpha, "M_alpha"))
+        object.__setattr__(self, "m_beta", _as_int(self.m_beta, "M_beta"))
         object.__setattr__(self, "n_alpha", _as_int_tuple(self.n_alpha, "N_alpha"))
         object.__setattr__(self, "n_beta", _as_int_tuple(self.n_beta, "N_beta"))
         if self.m_alpha < 1:
@@ -69,6 +79,9 @@ class NetworkConfig:
     @classmethod
     def from_dict(cls, data):
         """Build from the JSON object form {"M_alpha", "N_alpha", "M_beta", "N_beta"}."""
+        if not isinstance(data, dict):
+            raise ConfigError(
+                f"network config JSON must be an object, got {type(data).__name__}")
         try:
             return cls(data["M_alpha"], data["N_alpha"], data["M_beta"], data["N_beta"])
         except KeyError as exc:
@@ -135,6 +148,12 @@ class DofAllocation:
     def format(self):
         return ",".join(str(d) for d in self.d_alpha) + ";" + \
             ",".join(str(d) for d in self.d_beta)
+
+
+def validate_trials(trials):
+    """Require at least one Monte-Carlo trial or channel draw."""
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
 
 
 def validate_config(config, dof):

@@ -185,14 +185,6 @@ class TestIterateAlignment:
             gram = mat.conj().T @ mat
             assert np.abs(gram - np.eye(mat.shape[1])).max() < 1e-10
 
-    def test_record_trace_flag(self):
-        ch = ia.sample_channels(SIM, RngStream(1, 0))
-        opts = IterationOptions(max_iters=25, leakage_stop=1e-300,
-                                record_trace=False)
-        _, _, trace = ia.iterate_alignment(ch, SIM_DOF, unit_powers(SIM), opts,
-                                           RngStream(1, 1))
-        assert trace.iterations == 1  # only the final entry is kept
-
 
 class TestZeroForce:
     def _pipeline(self, cfg, dof, seed=17, iters=600):

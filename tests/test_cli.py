@@ -132,7 +132,20 @@ def test_input_errors_exit_2(small_config, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["check", "--config", str(bad), "--dof", "1,1;1,1"]) == 2
-    capsys.readouterr()
+    array = tmp_path / "array.json"
+    array.write_text("[4, [3, 3], 6, [2, 2]]")
+    assert main(["check", "--config", str(array), "--dof", "1,1;1,1"]) == 2
+    assert "must be an object" in capsys.readouterr().err
+    text = tmp_path / "text.json"
+    text.write_text(json.dumps({"M_alpha": "abc", "N_alpha": [3, 3],
+                                "M_beta": 6, "N_beta": [2, 2]}))
+    assert main(["check", "--config", str(text), "--dof", "1,1;1,1"]) == 2
+    assert "M_alpha must be an integer" in capsys.readouterr().err
+    assert main(["simulate-sumrate", "--config", small_config, "--dof", "1,1;1,1",
+                 "--snr", "10", "--trials", "0"]) == 2
+    assert main(["check", "--config", small_config, "--dof", "1,1;1,1",
+                 "--mode", "sufficient", "--trials", "0"]) == 2
+    assert capsys.readouterr().err.count("trials must be >= 1") == 2
 
 
 def test_unknown_flag_exits_2(small_config):

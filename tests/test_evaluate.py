@@ -2,6 +2,7 @@ import io
 import math
 
 import numpy as np
+import pytest
 
 import ia_rtdd as ia
 from ia_rtdd import (BeamformerSet, DofAllocation, IterationOptions,
@@ -118,6 +119,16 @@ class TestSweep:
         a = ia.monte_carlo_sweep(cfg, dof, [0.0, 10.0], trials=3, opts=opts, seed=5)
         b = ia.monte_carlo_sweep(cfg, dof, [0.0, 10.0], trials=3, opts=opts, seed=5)
         assert a == b
+
+    def test_zero_trials_rejected(self):
+        cfg = NetworkConfig(4, (3, 3), 6, (2, 2))
+        dof = DofAllocation((2, 2), (1, 1))
+        with pytest.raises(ia.ConfigError, match="trials must be >= 1"):
+            ia.monte_carlo_sweep(cfg, dof, [0.0], trials=0)
+        with pytest.raises(ia.ConfigError, match="trials must be >= 1"):
+            ia.baseline_single_cell(cfg, 0.0, 0, seed=0)
+        with pytest.raises(ia.ConfigError, match="trials must be >= 1"):
+            ia.check_sufficient(cfg, dof, trials=0)
 
     def test_zero_power_trial(self):
         cfg = NetworkConfig(4, (3, 3), 6, (2, 2))

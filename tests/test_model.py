@@ -32,6 +32,16 @@ class TestConfigTypes:
             NetworkConfig(2, (2, 0), 2, (2,))
         with pytest.raises(ConfigError):
             DofAllocation((1,), (-1,))
+        for bad in (4.7, True, "4", np.float64(2.5), float("inf")):
+            with pytest.raises(ConfigError, match="must be an integer"):
+                NetworkConfig(bad, (2,), 2, (2,))
+            with pytest.raises(ConfigError, match="must be an integer"):
+                NetworkConfig(2, (2,), 2, (2, bad))
+            with pytest.raises(ConfigError, match="must be an integer"):
+                DofAllocation((bad,), (1,))
+        cfg = NetworkConfig(np.int64(4), (np.int32(2), 3.0), 2, [2])
+        assert cfg == NetworkConfig(4, (2, 3), 2, (2,))
+        assert type(cfg.m_alpha) is int and type(cfg.n_alpha[0]) is int
 
     def test_json_roundtrip(self):
         data = {"M_alpha": 10, "N_alpha": [4, 6, 6], "M_beta": 13, "N_beta": [3, 6]}
