@@ -7,9 +7,8 @@ aligning precoders/postcoders, and Monte-Carlo sum-rate evaluation.
 from ._kernels import BACKEND
 from .beamform import (BeamformerSet, IterationOptions, LeakageTrace,
                        PowerProfile, ResidualReport, construct_beamformers,
-                       covariance_rx, covariance_tx, init_postcoders,
-                       iterate_alignment, normalize, residual_report,
-                       update_v_beta, zero_force_step2)
+                       init_postcoders, iterate_alignment, normalize,
+                       residual_report, zero_force_step2)
 from .errors import (BudgetError, ConfigError, IaRtddError, MatchingError,
                      NumericalError, SingularSystemError, SubsetLimitError)
 from .evaluate import (RateBreakdown, SweepResult, baseline_point_to_point,

@@ -2,7 +2,8 @@
 
 Two inner loops dominate runtime: the alternating leakage-minimization
 iteration and the exhaustive subset scan behind the combinatorial
-feasibility conditions.
+feasibility conditions.  The alignment loop takes and returns the filters
+as per-user tuples, the form `beamform` uses everywhere else.
 """
 
 import numpy as np
@@ -108,30 +109,22 @@ def _gram(t):
     return t @ np.ascontiguousarray(t.conj().swapaxes(-1, -2))
 
 
-def alignment_loop(g_pad, n_alpha, n_beta, d_alpha, d_beta,
-                   w_alpha, w_beta, u0_pad, max_iters, rel_stop):
+def alignment_loop(g_cross, n_alpha, n_beta, d_alpha, d_beta,
+                   w_alpha, w_beta, u0, max_iters, rel_stop):
     """Alternate eigenvector updates of receive/transmit filters on the cross links.
 
-    ``g_pad`` is a zero-padded (K, L, max N_a, max N_b) stack of cross
-    channels; ``u0_pad`` holds the initial orthonormal receive filters.
-    Each iteration first re-points every uplink-user transmit filter at the
+    ``g_cross[k][l]`` is the N_alpha_k x N_beta_l cross channel and ``u0[k]``
+    the initial orthonormal N_alpha_k x d_alpha_k receive filter.  Each
+    iteration first re-points every uplink-user transmit filter at the
     weakest-interference eigenvectors of its reciprocal covariance, then does
     the mirror update for the downlink-user receive filters, recording the
     per-user leakage power (sum of the kept eigenvalues).
 
     Stops once the total leakage drops to ``rel_stop`` times the first
-    iteration's total.  Returns
-    ``(u_pad, v_pad, totals, per_user, n_iters, converged)``.
+    iteration's total.  Returns ``(u, v, totals, per_user, n_iters,
+    converged)``: per-user filter tuples (N x 0 for a user without streams)
+    and the leakage arrays of the ``n_iters`` iterations run.
     """
-    K = len(n_alpha)
-    L = len(n_beta)
-    nb_max = g_pad.shape[3]
-    u_pad = u0_pad.copy()
-    v_pad = np.zeros((L, nb_max, max(max(d_beta), 1)), dtype=np.complex128)
-    totals = np.zeros(max_iters)
-    per_user = np.zeros((max_iters, K))
-    n_iters = 0
-    converged = False
     # Users with streams, grouped by filter shape: each group's products,
     # eigh and phase fix run as one stacked call.  The covariances still add
     # one user's term at a time in user order, so the arithmetic is that of
@@ -147,13 +140,16 @@ def alignment_loop(g_pad, n_alpha, n_beta, d_alpha, d_beta,
     # channel blocks between two groups as (alpha users, beta users, na, nb),
     # and conjugate-transposed as (beta users, alpha users, nb, na)
     g, g_h = {}, {}
-    for i, ((na, _), ks) in enumerate(ga):
-        for j, ((nb, _), ls) in enumerate(gb):
-            blk = g_pad[np.ix_(ks, ls)][:, :, :na, :nb]
-            g[i, j] = np.ascontiguousarray(blk)
+    for i, (_, ks) in enumerate(ga):
+        for j, (_, ls) in enumerate(gb):
+            g[i, j] = blk = np.array([[g_cross[k][l] for l in ls] for k in ks])
             g_h[j, i] = np.ascontiguousarray(blk.conj().transpose(1, 0, 3, 2))
-    u = [np.ascontiguousarray(u0_pad[ks, :na, :da]) for (na, da), ks in ga]
+    u = [np.array([u0[k] for k in ks]) for _, ks in ga]
     v = [None] * len(gb)
+    totals = np.zeros(max_iters)
+    per_user = np.zeros((max_iters, len(n_alpha)))
+    n_iters = 0
+    converged = False
     for it in range(max_iters):
         for j, ((nb, db), ls) in enumerate(gb):
             terms = [w_a[i] * _gram(g_h[j, i] @ u[i]) for i in range(len(ga))]
@@ -183,8 +179,11 @@ def alignment_loop(g_pad, n_alpha, n_beta, d_alpha, d_beta,
         if total <= rel_stop * totals[0]:
             converged = True
             break
-    for ((na, da), ks), u_g in zip(ga, u):
-        u_pad[ks, :na, :da] = u_g
-    for ((nb, db), ls), v_g in zip(gb, v):
-        v_pad[ls, :nb, :db] = v_g
-    return u_pad, v_pad, totals, per_user, n_iters, converged
+    u_out = [np.zeros((n, 0), dtype=np.complex128) for n in n_alpha]
+    v_out = [np.zeros((n, 0), dtype=np.complex128) for n in n_beta]
+    for out, groups, stacks in ((u_out, ga, u), (v_out, gb, v)):
+        for (_, users), stack in zip(groups, stacks):
+            for i, mat in zip(users, stack):
+                out[i] = mat
+    return (tuple(u_out), tuple(v_out), totals[:n_iters].copy(),
+            per_user[:n_iters].copy(), n_iters, converged)

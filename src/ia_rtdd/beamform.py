@@ -3,20 +3,22 @@
 Stage 1 drives the cross-link interference seen by the downlink users to
 zero by alternating minimization (`iterate_alignment`): the uplink transmit
 filters and downlink receive filters are re-pointed, in turn, at the
-eigenvectors of their interference covariance with the smallest eigenvalues.
+eigenvectors of their interference covariance with the smallest eigenvalues;
+those covariances and updates exist only inside `_kernels.alignment_loop`.
 Stage 2 (`zero_force_step2`) then zero-forces the remaining couplings
 (intra-cell interference in both cells and the BS-to-BS link) through
 pseudo-inverses of stacked effective channels.  `residual_report` measures
 how well a finished beamformer set satisfies every alignment condition.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .errors import ConfigError, SingularSystemError
-from .model import NetworkConfig, RngStream, complex_gaussian, validate_config
+from .model import RngStream, complex_gaussian, validate_config
 
 COND_LIMIT = 1e12
 FLOAT_FORMAT = "%.9g"  # every float written to CSV or JSON output
@@ -101,62 +103,11 @@ def init_postcoders(config, dof, rng):
     g = rng.generator()
     out = []
     for n, d in zip(config.n_alpha, dof.d_alpha):
-        if d == 0:
-            out.append(np.zeros((n, 0), dtype=np.complex128))
-            continue
-        a = complex_gaussian(g, n, d)
-        q, r = np.linalg.qr(a)
+        q, r = np.linalg.qr(complex_gaussian(g, n, d))
         diag = np.diag(r).copy()
         diag[diag == 0] = 1.0
         out.append(q * (diag / np.abs(diag))[None, :])
     return tuple(out)
-
-
-def covariance_tx(channels, u_alpha, powers, l):
-    """Interference covariance at uplink user l through the reciprocal cross links."""
-    nb = channels.g_cross[0][l].shape[1]
-    cov = np.zeros((nb, nb), dtype=np.complex128)
-    for k, u in enumerate(u_alpha):
-        d = u.shape[1]
-        if d == 0:
-            continue
-        t = channels.g_cross[k][l].conj().T @ u
-        cov += (powers.p_alpha[k] / d) * (t @ t.conj().T)
-    return 0.5 * (cov + cov.conj().T)
-
-
-def covariance_rx(channels, v_beta, powers, k):
-    """Interference covariance at downlink user k from the uplink transmitters."""
-    na = channels.g_cross[k][0].shape[0]
-    cov = np.zeros((na, na), dtype=np.complex128)
-    for l, v in enumerate(v_beta):
-        d = v.shape[1]
-        if d == 0:
-            continue
-        t = channels.g_cross[k][l] @ v
-        cov += (powers.p_beta[l] / d) * (t @ t.conj().T)
-    return 0.5 * (cov + cov.conj().T)
-
-
-def update_v_beta(cov, d):
-    """Orthonormal eigenvectors of the d smallest eigenvalues, ascending.
-
-    Ties keep the decomposition's deterministic output order; each column is
-    phase-rotated so its first non-negligible entry is real positive.
-    """
-    herm_gap = np.linalg.norm(cov - cov.conj().T)
-    if herm_gap > 1e-8 * max(1.0, np.linalg.norm(cov)):
-        raise ConfigError(f"covariance is not Hermitian (residual {herm_gap:.3e})")
-    if d > cov.shape[0]:
-        raise ConfigError(f"cannot extract {d} eigenvectors from size {cov.shape[0]}")
-    _, vecs = np.linalg.eigh(0.5 * (cov + cov.conj().T))
-    return _kernels.fix_column_phases(vecs[:, :d])
-
-
-def _channel_dims(channels):
-    n_alpha = tuple(h.shape[0] for h in channels.h_alpha)
-    n_beta = tuple(h.shape[1] for h in channels.h_beta)
-    return n_alpha, n_beta
 
 
 def iterate_alignment(channels, dof, powers, opts=None, rng=None):
@@ -168,42 +119,22 @@ def iterate_alignment(channels, dof, powers, opts=None, rng=None):
     projected interference covariance) recorded each iteration.  Stops when
     the total drops to ``leakage_stop`` times the first iteration's total or
     after ``max_iters``; non-convergence is reported in the trace, never
-    raised.
+    raised.  The loop is `_kernels.alignment_loop`, which takes the cross
+    channels and the initial filters as they are, one matrix per user.
 
     Returns ``(u_alpha, v_beta, trace)``.
     """
     opts = opts or IterationOptions()
     if rng is None:
         rng = RngStream(0, 1)
-    n_alpha, n_beta = _channel_dims(channels)
-    m_alpha = channels.h_alpha[0].shape[1]
-    m_beta = channels.h_beta[0].shape[0]
-    config = NetworkConfig(m_alpha, n_alpha, m_beta, n_beta)
-    validate_config(config, dof)
-    K, L = len(n_alpha), len(n_beta)
-
-    na_max, nb_max = max(n_alpha), max(n_beta)
-    da_max = max(max(dof.d_alpha), 1)
-    g_pad = np.zeros((K, L, na_max, nb_max), dtype=np.complex128)
-    for k in range(K):
-        for l in range(L):
-            g_pad[k, l, :n_alpha[k], :n_beta[l]] = channels.g_cross[k][l]
+    config = channels.config
     u0 = init_postcoders(config, dof, rng)
-    u0_pad = np.zeros((K, na_max, da_max), dtype=np.complex128)
-    for k in range(K):
-        u0_pad[k, :n_alpha[k], :dof.d_alpha[k]] = u0[k]
     w_alpha = [p / d if d else 0.0 for p, d in zip(powers.p_alpha, dof.d_alpha)]
     w_beta = [p / d if d else 0.0 for p, d in zip(powers.p_beta, dof.d_beta)]
-
-    u_pad, v_pad, totals, per_user, n_iters, converged = _kernels.alignment_loop(
-        g_pad, n_alpha, n_beta, dof.d_alpha, dof.d_beta,
-        w_alpha, w_beta, u0_pad, opts.max_iters, opts.leakage_stop)
-
-    u_alpha = tuple(u_pad[k, :n_alpha[k], :dof.d_alpha[k]].copy() for k in range(K))
-    v_beta = tuple(v_pad[l, :n_beta[l], :dof.d_beta[l]].copy() for l in range(L))
-    trace = LeakageTrace(totals[:n_iters].copy(), per_user[:n_iters].copy(),
-                         bool(converged))
-    return u_alpha, v_beta, trace
+    u_alpha, v_beta, totals, per_user, _, converged = _kernels.alignment_loop(
+        channels.g_cross, config.n_alpha, config.n_beta, dof.d_alpha, dof.d_beta,
+        w_alpha, w_beta, u0, opts.max_iters, opts.leakage_stop)
+    return u_alpha, v_beta, LeakageTrace(totals, per_user, converged)
 
 
 def _guarded_pinv(a, branch):
@@ -219,22 +150,16 @@ def _guarded_pinv(a, branch):
     return (vh.conj().T * (1.0 / s)[None, :]) @ u.conj().T
 
 
-def _split_cols(mat, widths):
-    out = []
-    c = 0
-    for w in widths:
-        out.append(mat[:, c:c + w].copy())
-        c += w
-    return tuple(out)
+def _no_streams(rows):
+    """Zero-column filters, one per user of a cell without streams."""
+    return tuple(np.zeros((r, 0), dtype=np.complex128) for r in rows)
 
 
-def _split_rows(mat, widths):
-    out = []
-    r = 0
-    for w in widths:
-        out.append(mat[r:r + w, :].copy())
-        r += w
-    return tuple(out)
+def _split(mat, widths, axis):
+    """Consecutive blocks of ``widths`` along ``axis`` (0 or 1), as views: a
+    product with a copy can round differently, e.g. in the single-cell baseline."""
+    edges = [0, *itertools.accumulate(widths)]
+    return tuple(mat[:, a:b] if axis else mat[a:b] for a, b in zip(edges, edges[1:]))
 
 
 def zero_force_step2(channels, dof, u_alpha, v_beta):
@@ -249,10 +174,9 @@ def zero_force_step2(channels, dof, u_alpha, v_beta):
 
     Returns ``(v_alpha, u_beta)``.
     """
-    n_alpha, n_beta = _channel_dims(channels)
-    m_alpha = channels.h_alpha[0].shape[1]
-    m_beta = channels.h_beta[0].shape[0]
-    K, L = len(n_alpha), len(n_beta)
+    config = channels.config
+    m_alpha, m_beta = config.m_alpha, config.m_beta
+    K, L = config.num_alpha, config.num_beta
     da, db = dof.d_alpha, dof.d_beta
     sum_a, sum_b = sum(da), sum(db)
 
@@ -265,32 +189,27 @@ def zero_force_step2(channels, dof, u_alpha, v_beta):
             p_up = _guarded_pinv(h_up, "downlink-heavy")
         else:
             p_up = np.zeros((0, m_beta), dtype=np.complex128)
-        u_beta = tuple(blk.conj().T for blk in _split_rows(p_up, db))
+        u_beta = tuple(blk.conj().T for blk in _split(p_up, db, 0))
         stack = eff_alpha + ([p_up @ channels.g_bs] if sum_b else [])
         if sum_a + sum_b == 0:
-            v_alpha = tuple(np.zeros((m_alpha, 0), dtype=np.complex128)
-                            for _ in range(K))
-            return v_alpha, u_beta
+            return _no_streams([m_alpha] * K), u_beta
         h_dn = np.vstack(stack)
         r = _guarded_pinv(h_dn, "downlink-heavy")
-        v_alpha = _split_cols(r[:, :sum_a], da)
+        v_alpha = _split(r[:, :sum_a], da, 1)
         return v_alpha, u_beta
 
     if sum_a:
         h_dn = np.vstack(eff_alpha)
         r = _guarded_pinv(h_dn, "uplink-heavy")
-        v_alpha = _split_cols(r, da)
+        v_alpha = _split(r, da, 1)
     else:
-        v_alpha = tuple(np.zeros((m_alpha, 0), dtype=np.complex128)
-                        for _ in range(K))
+        v_alpha = _no_streams([m_alpha] * K)
     stack = eff_beta + ([channels.g_bs @ np.hstack(v_alpha)] if sum_a else [])
     if sum_a + sum_b == 0:
-        u_beta = tuple(np.zeros((m_beta, 0), dtype=np.complex128)
-                       for _ in range(L))
-        return v_alpha, u_beta
+        return v_alpha, _no_streams([m_beta] * L)
     h_up = np.hstack(stack)
     p_up = _guarded_pinv(h_up, "uplink-heavy")
-    u_beta = tuple(blk.conj().T for blk in _split_rows(p_up[:sum_b, :], db))
+    u_beta = tuple(blk.conj().T for blk in _split(p_up[:sum_b, :], db, 0))
     return v_alpha, u_beta
 
 

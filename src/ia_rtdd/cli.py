@@ -18,6 +18,7 @@ digits so emitted files diff cleanly across runs.
 import argparse
 import io
 import json
+import math
 import os
 import sys
 
@@ -27,6 +28,9 @@ from .beamform import (FLOAT_FORMAT, IterationOptions,
 from .errors import IaRtddError
 from .model import (DofAllocation, NetworkConfig, RngStream, sample_channels,
                     validate_config)
+
+MAX_SNR_POINTS = 10_000
+MAX_ABS_SNR_DB = 300.0
 
 
 def _round_floats(obj):
@@ -74,25 +78,34 @@ def _subset_limit():
 
 
 def parse_snr_grid(text):
-    """Parse "start:step:stop" (stop inclusive when on the grid) or a single value."""
+    """Parse "start:step:stop" (stop inclusive when on the grid) or a single value.
+
+    Parts must be finite, start and stop within +-MAX_ABS_SNR_DB (beyond it the
+    linear powers overflow) and the grid at most MAX_SNR_POINTS long."""
     parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise IaRtddError(f"SNR grid must be START:STEP:STOP, got {text!r}")
     try:
-        start, step, stop = (float(p) for p in parts)
+        values = [float(p) for p in parts]
     except ValueError:
         raise IaRtddError(f"could not parse SNR grid {text!r}")
+    if not (all(math.isfinite(v) for v in values)
+            and max(abs(values[0]), abs(values[-1])) <= MAX_ABS_SNR_DB):
+        raise IaRtddError(f"SNR values must be finite and the grid within "
+                          f"+-{MAX_ABS_SNR_DB:g} dB, got {text!r}")
+    if len(values) == 1:
+        return values
+    start, step, stop = values
     if step <= 0:
         raise IaRtddError("SNR grid step must be > 0")
     if stop < start:
         raise IaRtddError("SNR grid stop must be >= start")
     grid = []
-    i = 0
-    while start + i * step <= stop + 1e-9:
-        grid.append(start + i * step)
-        i += 1
+    while start + len(grid) * step <= stop + 1e-9:
+        if len(grid) == MAX_SNR_POINTS:
+            raise IaRtddError(
+                f"SNR grid {text!r} has more than {MAX_SNR_POINTS} points")
+        grid.append(start + len(grid) * step)
     return grid
 
 
@@ -171,8 +184,8 @@ def _cmd_symmetric(args):
 
 
 def _pipeline(args, config, dof):
+    powers = evaluate.power_profile_for_snr(config, parse_snr_grid(args.snr)[0])
     channels = sample_channels(config, RngStream(args.seed, 0))
-    powers = evaluate.power_profile_for_snr(config, args.snr_value)
     opts = IterationOptions(max_iters=args.iters)
     bf, trace = construct_beamformers(channels, dof, powers, opts,
                                       rng=RngStream(args.seed, 1))
@@ -182,7 +195,6 @@ def _pipeline(args, config, dof):
 def _cmd_construct(args):
     config = _load_config(args.config)
     dof = _parse_dof(args, config)
-    args.snr_value = parse_snr_grid(args.snr)[0]
     channels, bf, trace = _pipeline(args, config, dof)
     report = residual_report(channels, bf, dof)
     _emit_json({
@@ -201,7 +213,6 @@ def _cmd_construct(args):
 def _cmd_simulate_leakage(args):
     config = _load_config(args.config)
     dof = _parse_dof(args, config)
-    args.snr_value = parse_snr_grid(args.snr)[0]
     _, _, trace = _pipeline(args, config, dof)
     if args.format == "json":
         _emit_json({

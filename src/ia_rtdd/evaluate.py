@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamform import (FLOAT_FORMAT, PowerProfile, construct_beamformers,
-                       _guarded_pinv)
+from .beamform import (FLOAT_FORMAT, BeamformerSet, PowerProfile,
+                       construct_beamformers, _guarded_pinv, _no_streams,
+                       _normalize_matrix, _split)
 from .errors import NumericalError, SingularSystemError
 from .model import (RngStream, sample_channels, validate_config,
                     validate_trials)
@@ -129,86 +130,50 @@ def baseline_point_to_point(snr_db):
     return math.log2(1.0 + snr_to_power(snr_db))
 
 
-def _round_robin_streams(caps, total):
+def _round_robin_streams(caps, m_antennas):
+    """Deal min(M, sum(caps)) streams one at a time over users up to their caps."""
     out = [0] * len(caps)
-    while total > 0:
-        moved = False
-        for i in range(len(caps)):
-            if total == 0:
-                break
-            if out[i] < caps[i]:
+    total = min(m_antennas, sum(caps))
+    while total:
+        for i, cap in enumerate(caps):
+            if total and out[i] < cap:
                 out[i] += 1
                 total -= 1
-                moved = True
-        if not moved:
-            break
     return out
 
 
-def _zf_downlink_rate(h_list, m_antennas, power_total):
+def _zf_downlink_rate(channels, config, power_total):
     """Zero-forcing sum rate of the downlink cell running alone."""
-    caps = [h.shape[0] for h in h_list]
-    streams = _round_robin_streams(caps, min(m_antennas, sum(caps)))
-    active = [k for k, s in enumerate(streams) if s > 0]
-    if not active:
-        return 0.0
-    p_user = power_total / len(active)
-    filters = {}
-    rows = []
-    for k in active:
-        u, _, _ = np.linalg.svd(h_list[k])
-        filters[k] = u[:, :streams[k]]
-        rows.append(filters[k].conj().T @ h_list[k])
+    streams = _round_robin_streams(config.n_alpha, config.m_alpha)
+    u_alpha = tuple(np.linalg.svd(h)[0][:, :s]
+                    for h, s in zip(channels.h_alpha, streams))
+    rows = [u.conj().T @ h for u, h in zip(u_alpha, channels.h_alpha)]
     pre = _guarded_pinv(np.vstack(rows), "single-cell downlink")
-    pre = pre / np.linalg.norm(pre, axis=0)[None, :]
-    cols = {}
-    c = 0
-    for k in active:
-        cols[k] = pre[:, c:c + streams[k]]
-        c += streams[k]
-    total = 0.0
-    for k in active:
-        eff = filters[k].conj().T @ h_list[k]
-        c_desire = _outer(eff @ cols[k], p_user / streams[k])
-        c_interf = np.zeros((streams[k], streams[k]), dtype=np.complex128)
-        for i in active:
-            if i != k:
-                c_interf += _outer(eff @ cols[i], p_user / streams[i])
-        total += _log2_det_ratio(c_desire, c_interf)
-    return total
+    v_alpha = _split(_normalize_matrix(pre, "single-cell precoder"), streams, 1)
+    bf = BeamformerSet(u_alpha, v_alpha, _no_streams([config.m_beta] * config.num_beta),
+                       _no_streams(config.n_beta))
+    p_user = power_total / sum(1 for s in streams if s)
+    powers = PowerProfile((p_user,) * config.num_alpha, (0.0,) * config.num_beta)
+    return sum(user_rate_alpha(channels, bf, powers, k)
+               for k in range(config.num_alpha))
 
 
-def _zf_uplink_rate(h_list, m_antennas, power_per_user):
+def _zf_uplink_rate(channels, config, power_per_user):
     """Zero-forcing sum rate of the uplink cell running alone."""
-    caps = [h.shape[1] for h in h_list]
-    streams = _round_robin_streams(caps, min(m_antennas, sum(caps)))
-    active = [l for l, s in enumerate(streams) if s > 0]
-    if not active:
-        return 0.0
-    pre = {}
-    blocks = []
-    for l in active:
-        _, _, vh = np.linalg.svd(h_list[l])
-        pre[l] = vh.conj().T[:, :streams[l]]
-        blocks.append(h_list[l] @ pre[l])
+    streams = _round_robin_streams(config.n_beta, config.m_beta)
+    v_beta = tuple(np.linalg.svd(h)[2].conj().T[:, :s]
+                   for h, s in zip(channels.h_beta, streams))
+    blocks = [h @ v for h, v in zip(channels.h_beta, v_beta)]
     p_up = _guarded_pinv(np.hstack(blocks), "single-cell uplink")
-    post = {}
-    r = 0
-    for l in active:
-        blk = p_up[r:r + streams[l], :].conj().T
-        post[l] = blk / np.linalg.norm(blk, axis=0)[None, :]
-        r += streams[l]
-    total = 0.0
-    for l in active:
-        c_desire = _outer(post[l].conj().T @ h_list[l] @ pre[l],
-                          power_per_user / streams[l])
-        c_interf = np.zeros((streams[l], streams[l]), dtype=np.complex128)
-        for j in active:
-            if j != l:
-                c_interf += _outer(post[l].conj().T @ h_list[j] @ pre[j],
-                                   power_per_user / streams[j])
-        total += _log2_det_ratio(c_desire, c_interf)
-    return total
+    u_beta = tuple(_normalize_matrix(blk.conj().T, "single-cell postcoder")
+                   for blk in _split(p_up, streams, 0))
+    bf = BeamformerSet(_no_streams(config.n_alpha),
+                       _no_streams([config.m_alpha] * config.num_alpha),
+                       u_beta, v_beta)
+    powers = PowerProfile((0.0,) * config.num_alpha,
+                          (power_per_user,) * config.num_beta)
+    return sum(user_rate_beta(channels, bf, powers, l)
+               for l in range(config.num_beta))
 
 
 def baseline_single_cell(config, snr_db, trials, seed):
@@ -216,7 +181,9 @@ def baseline_single_cell(config, snr_db, trials, seed):
 
     Streams are split round-robin up to each user's antenna count; the
     downlink splits the SNR budget over its active users while every uplink
-    user transmits at the SNR, matching the sweep's power convention.
+    user transmits at the SNR, matching the sweep's power convention.  Each
+    cell's filters go into a `BeamformerSet` whose other cell has no
+    streams, rated by `user_rate_alpha` / `user_rate_beta`.
     """
     validate_trials(trials)
     power = snr_to_power(snr_db)
@@ -224,8 +191,8 @@ def baseline_single_cell(config, snr_db, trials, seed):
     sum_beta = 0.0
     for t in range(trials):
         channels = sample_channels(config, RngStream(seed, t))
-        sum_alpha += _zf_downlink_rate(list(channels.h_alpha), config.m_alpha, power)
-        sum_beta += _zf_uplink_rate(list(channels.h_beta), config.m_beta, power)
+        sum_alpha += _zf_downlink_rate(channels, config, power)
+        sum_beta += _zf_uplink_rate(channels, config, power)
     return max(sum_alpha / trials, sum_beta / trials)
 
 

@@ -19,7 +19,7 @@ the best one passing the selected decider.  User indices in witnesses are
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,20 +78,10 @@ def _make_report(conditions, extra=None):
     return FeasibilityReport(verdict, tuple(conditions), extra)
 
 
-def _mask_indices(mask):
-    """1-based user indices of a subset bitmask."""
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
-
-
 def _subset_witness(pair):
-    return {"I_alpha": _mask_indices(pair[0]), "I_beta": _mask_indices(pair[1])}
+    """1-based user indices of a violating ``(alpha_mask, beta_mask)`` pair."""
+    alpha, beta = ([i + 1 for i in _kernels._mask_key(m)] for m in pair)
+    return {"I_alpha": alpha, "I_beta": beta}
 
 
 def _guard_subset_size(config, subset_limit):
@@ -123,10 +113,9 @@ def check_necessary(config, dof, subset_limit=None):
     conditions = _budget_conditions(config, dof)
     bound, count = _kernels.subset_scan(dof.d_alpha, config.n_alpha,
                                         dof.d_beta, config.n_beta)
-    conditions.append(ConditionResult(
-        "8d", bound is None, None if bound is None else _subset_witness(bound)))
-    conditions.append(ConditionResult(
-        "8e", count is None, None if count is None else _subset_witness(count)))
+    for cid, pair in (("8d", bound), ("8e", count)):
+        conditions.append(ConditionResult(cid, pair is None,
+                                          pair and _subset_witness(pair)))
     return _make_report(conditions)
 
 
@@ -224,16 +213,9 @@ def build_alignment_matrix(channels, dof):
 
     Returns ``(matrix, layout)``.
     """
+    config, _ = validate_config(channels.config, dof)
     d_a, d_b = dof.d_alpha, dof.d_beta
-    n_a = tuple(channels.h_alpha[k].shape[0] for k in range(len(d_a)))
-    n_b = tuple(channels.g_cross[0][l].shape[1] for l in range(len(d_b)))
-    for k, (d, n) in enumerate(zip(d_a, n_a)):
-        if d > n:
-            raise ConfigError(f"d_alpha[{k + 1}] = {d} exceeds N_alpha[{k + 1}] = {n}")
-    for l, (d, n) in enumerate(zip(d_b, n_b)):
-        if d > n:
-            raise ConfigError(f"d_beta[{l + 1}] = {d} exceeds N_beta[{l + 1}] = {n}")
-    layout = AlignmentMatrixLayout(d_a, d_b, n_a, n_b)
+    layout = AlignmentMatrixLayout(d_a, d_b, config.n_alpha, config.n_beta)
     mat = np.zeros((layout.n_rows, layout.n_cols), dtype=np.complex128)
     for k, da in enumerate(d_a):
         for l, db in enumerate(d_b):
@@ -307,8 +289,24 @@ def check_sufficient(config, dof, trials=DEFAULT_RANK_TRIALS, rng=None):
 # ---------------------------------------------------------------------------
 
 def _expand_symmetric(config, d_alpha, d_beta):
-    return DofAllocation((d_alpha,) * config.num_alpha,
-                         (d_beta,) * config.num_beta)
+    """The per-cell stream counts as ints, and their per-user allocation."""
+    d_alpha, d_beta = int(d_alpha), int(d_beta)
+    if d_alpha < 1 or d_beta < 1:
+        raise ConfigError("symmetric stream counts must be >= 1")
+    return d_alpha, d_beta, DofAllocation((d_alpha,) * config.num_alpha,
+                                          (d_beta,) * config.num_beta)
+
+
+def _divisibility_failure(config, d_alpha, d_beta):
+    """First user whose leftover antennas N - d are not a multiple of the
+    other cell's stream count, as a witness dict, or None."""
+    for side, ns, own, divisor in (("alpha", config.n_alpha, d_alpha, d_beta),
+                                   ("beta", config.n_beta, d_beta, d_alpha)):
+        for i, n in enumerate(ns):
+            if (n - own) % divisor != 0:
+                return {"side": side, "user": i + 1, "leftover": n - own,
+                        "divisor": divisor}
+    return None
 
 
 def check_symmetric_sufficient(config, d_alpha, d_beta, subset_limit=None):
@@ -321,37 +319,15 @@ def check_symmetric_sufficient(config, d_alpha, d_beta, subset_limit=None):
     converse certifies no symmetric allocation strictly dominates it under
     these conditions).
     """
-    d_alpha, d_beta = int(d_alpha), int(d_beta)
-    if d_alpha < 1 or d_beta < 1:
-        raise ConfigError("symmetric stream counts must be >= 1")
-    dof = _expand_symmetric(config, d_alpha, d_beta)
-    validate_config(config, dof)
-    _guard_subset_size(config, subset_limit)
-    K, L = config.num_alpha, config.num_beta
-    conditions = [
-        ConditionResult("13a", K * d_alpha <= config.m_alpha),
-        ConditionResult("13b", L * d_beta <= config.m_beta),
-        ConditionResult("13c", K * d_alpha + L * d_beta
-                        <= max(config.m_alpha, config.m_beta)),
-    ]
-    div_witness = None
-    for k, n in enumerate(config.n_alpha):
-        if (n - d_alpha) % d_beta != 0:
-            div_witness = {"side": "alpha", "user": k + 1, "leftover": n - d_alpha,
-                           "divisor": d_beta}
-            break
-    if div_witness is None:
-        for l, n in enumerate(config.n_beta):
-            if (n - d_beta) % d_alpha != 0:
-                div_witness = {"side": "beta", "user": l + 1, "leftover": n - d_beta,
-                               "divisor": d_alpha}
-                break
-    conditions.append(ConditionResult("13d", div_witness is None, div_witness))
-    _, count = _kernels.subset_scan(dof.d_alpha, config.n_alpha,
-                                    dof.d_beta, config.n_beta)
-    conditions.append(ConditionResult(
-        "13e", count is None, None if count is None else _subset_witness(count)))
+    d_alpha, d_beta, dof = _expand_symmetric(config, d_alpha, d_beta)
+    # For a symmetric allocation 13a-13c and 13e are the converse's 8a-8c
+    # and 8e, witnesses included.
     necessary = check_necessary(config, dof, subset_limit)
+    conditions = [replace(necessary.condition("8" + c), condition_id="13" + c)
+                  for c in "abc"]
+    div_witness = _divisibility_failure(config, d_alpha, d_beta)
+    conditions.append(ConditionResult("13d", div_witness is None, div_witness))
+    conditions.append(replace(necessary.condition("8e"), condition_id="13e"))
     verdict = all(c.passed for c in conditions)
     extra = {
         "d_sum": dof.total,
@@ -393,16 +369,12 @@ class HallResult:
 
 
 def _hall_graph(config, d_alpha, d_beta):
-    for k, n in enumerate(config.n_alpha):
-        if (n - d_alpha) % d_beta != 0:
-            raise ConfigError(
-                f"leftover dimension N_alpha[{k + 1}] - {d_alpha} not divisible "
-                f"by {d_beta}")
-    for l, n in enumerate(config.n_beta):
-        if (n - d_beta) % d_alpha != 0:
-            raise ConfigError(
-                f"leftover dimension N_beta[{l + 1}] - {d_beta} not divisible "
-                f"by {d_alpha}")
+    bad = _divisibility_failure(config, d_alpha, d_beta)
+    if bad is not None:
+        own = d_alpha if bad["side"] == "alpha" else d_beta
+        raise ConfigError(
+            f"leftover dimension N_{bad['side']}[{bad['user']}] - {own} not "
+            f"divisible by {bad['divisor']}")
     a_counts = tuple((n - d_alpha) // d_beta for n in config.n_alpha)
     b_counts = tuple((n - d_beta) // d_alpha for n in config.n_beta)
     return HallGraph(config.num_alpha, config.num_beta, a_counts, b_counts)
@@ -416,10 +388,8 @@ def hall_condition(config, d_alpha, d_beta):
     itself is returned as the witness.  Left vertices are processed in
     (k, l) order and neighbors alpha-first, so the witness is deterministic.
     """
-    d_alpha, d_beta = int(d_alpha), int(d_beta)
-    if d_alpha < 1 or d_beta < 1:
-        raise ConfigError("symmetric stream counts must be >= 1")
-    validate_config(config, _expand_symmetric(config, d_alpha, d_beta))
+    d_alpha, d_beta, dof = _expand_symmetric(config, d_alpha, d_beta)
+    validate_config(config, dof)
     graph = _hall_graph(config, d_alpha, d_beta)
     owner = {}
 

@@ -186,9 +186,16 @@ class RngStream:
     seed: int
     stream_index: int = 0
 
+    def __post_init__(self):
+        for name in ("seed", "stream_index"):
+            value = _as_int(getattr(self, name), name)
+            if value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
+            object.__setattr__(self, name, value)
+
     def generator(self):
-        seq = np.random.SeedSequence(entropy=int(self.seed),
-                                     spawn_key=(int(self.stream_index),))
+        seq = np.random.SeedSequence(entropy=self.seed,
+                                     spawn_key=(self.stream_index,))
         return np.random.default_rng(seq)
 
     def shifted(self, offset):
@@ -222,6 +229,14 @@ class ChannelSet:
     g_cross: tuple
     h_beta: tuple
     g_bs: np.ndarray = field(repr=False)
+
+    @property
+    def config(self):
+        """The network whose antenna counts these channels have."""
+        return NetworkConfig(self.h_alpha[0].shape[1],
+                             tuple(h.shape[0] for h in self.h_alpha),
+                             self.h_beta[0].shape[0],
+                             tuple(h.shape[1] for h in self.h_beta))
 
     def check_shapes(self, config):
         if len(self.h_alpha) != config.num_alpha or len(self.g_cross) != config.num_alpha:

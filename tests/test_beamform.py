@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -42,70 +43,69 @@ class TestInitPostcoders:
             assert not np.allclose(c[0], d[0])
 
 
+def interference_covariance(links, filters, powers):
+    """Sum over users of (p / d) (G F)(G F)^H, one entry at a time."""
+    n = links[0].shape[0]
+    cov = np.zeros((n, n), dtype=complex)
+    for g, f, p in zip(links, filters, powers):
+        t = g @ f
+        for a, b, s in itertools.product(range(n), range(n), range(t.shape[1])):
+            cov[a, b] += p / t.shape[1] * t[a, s] * np.conj(t[b, s])
+    return cov
+
+
 class TestCovariances:
     def test_zero_power_gives_zero(self):
+        # zero powers make every interference covariance zero: no leakage, so
+        # the loop stops after its first iteration
         ch = ia.sample_channels(SIM, RngStream(0, 0))
-        u = ia.init_postcoders(SIM, SIM_DOF, RngStream(0, 1))
         zero = PowerProfile((0.0,) * 4, (0.0,) * 3)
-        assert not np.any(ia.covariance_tx(ch, u, zero, 0))
-        v = tuple(np.ones((n, 1), dtype=complex) / np.sqrt(n) for n in SIM.n_beta)
-        assert not np.any(ia.covariance_rx(ch, v, zero, 0))
+        _, _, trace = ia.iterate_alignment(ch, SIM_DOF, zero, rng=RngStream(0, 1))
+        assert trace.iterations == 1 and trace.converged
+        assert trace.per_user.shape == (1, 4) and not np.any(trace.per_user)
+        assert trace.totals[0] == 0.0
 
     def test_scalar_network_collapse(self):
+        # 1x1 links: both filters are the unit scalar and the leakage is the
+        # uplink power times |g|^2
         cfg = NetworkConfig(1, (1,), 1, (1,))
         ch = ia.sample_channels(cfg, RngStream(4, 0))
         g = ch.g_cross[0][0][0, 0]
-        u = (np.array([[1.0 + 0j]]),)
         powers = PowerProfile((2.5,), (3.5,))
-        cov = ia.covariance_tx(ch, u, powers, 0)
-        assert cov.shape == (1, 1)
-        assert abs(cov[0, 0] - 2.5 * abs(g) ** 2) < 1e-12
-        v = (np.array([[1.0 + 0j]]),)
-        cov_rx = ia.covariance_rx(ch, v, powers, 0)
-        assert abs(cov_rx[0, 0] - 3.5 * abs(g) ** 2) < 1e-12
-
-    def test_matches_elementwise_resummation(self):
-        ch = ia.sample_channels(SIM, RngStream(8, 0))
-        u = ia.init_postcoders(SIM, SIM_DOF, RngStream(8, 1))
-        powers = PowerProfile((1.0, 2.0, 0.5, 3.0), (1.5, 2.5, 0.25))
-        for l in range(3):
-            cov = ia.covariance_tx(ch, u, powers, l)
-            nb = SIM.n_beta[l]
-            brute = np.zeros((nb, nb), dtype=complex)
-            for k in range(4):
-                t = ch.g_cross[k][l].conj().T @ u[k]
-                for a in range(nb):
-                    for b in range(nb):
-                        for s in range(t.shape[1]):
-                            brute[a, b] += (powers.p_alpha[k] / 3) * t[a, s] * np.conj(t[b, s])
-            assert np.abs(cov - brute).max() < 1e-12
+        u, v, trace = ia.iterate_alignment(ch, DofAllocation((1,), (1,)), powers,
+                                           IterationOptions(max_iters=1),
+                                           RngStream(4, 1))
+        assert u[0].shape == v[0].shape == (1, 1)
+        assert abs(u[0][0, 0] - 1) < 1e-15 and abs(v[0][0, 0] - 1) < 1e-15
+        assert abs(trace.totals[0] - 3.5 * abs(g) ** 2) < 1e-12
 
 
 class TestEigUpdate:
-    def test_diagonal_picks_smallest(self):
-        cov = np.diag([5.0, 1.0, 3.0]).astype(complex)
-        v = ia.update_v_beta(cov, 1)
-        assert np.abs(np.abs(v.ravel()) - [0, 1, 0]).max() < 1e-14
-        assert v[1, 0].real > 0  # phase convention
-
     def test_zero_covariance_any_orthonormal_pair(self):
-        v = ia.update_v_beta(np.zeros((3, 3), dtype=complex), 2)
-        assert np.abs(v.conj().T @ v - np.eye(2)).max() < 1e-12
+        cfg = NetworkConfig(4, (3,), 4, (3,))
+        ch = ia.sample_channels(cfg, RngStream(1, 0))
+        zero = PowerProfile((0.0,), (0.0,))
+        u, v, _ = ia.iterate_alignment(ch, DofAllocation((2,), (2,)), zero,
+                                       rng=RngStream(1, 1))
+        for mat in u + v:
+            assert mat.shape == (3, 2)
+            assert np.abs(mat.conj().T @ mat - np.eye(2)).max() < 1e-12
 
     def test_rayleigh_quotients_below_excluded_eigenvalues(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        cov = a @ a.conj().T
-        vals = np.linalg.eigvalsh(cov)
-        v = ia.update_v_beta(cov, 2)
-        for c in range(2):
-            quotient = (v[:, c].conj() @ cov @ v[:, c]).real
-            assert quotient <= vals[2] + 1e-9
-
-    def test_rejects_non_hermitian(self):
-        bad = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
-        with pytest.raises(ConfigError, match="Hermitian"):
-            ia.update_v_beta(bad, 1)
+        # the last receive filters span the weakest eigenvectors of the
+        # covariance made by the last transmit filters
+        cfg = NetworkConfig(6, (4, 5), 7, (3, 4))
+        dof = DofAllocation((2, 2), (1, 2))
+        ch = ia.sample_channels(cfg, RngStream(3, 0))
+        powers = PowerProfile((2.0, 1.0), (3.0, 0.5))
+        u, v, _ = ia.iterate_alignment(ch, dof, powers,
+                                       IterationOptions(max_iters=3), RngStream(3, 1))
+        for k in range(2):
+            cov = interference_covariance(ch.g_cross[k], v, powers.p_beta)
+            vals = np.linalg.eigvalsh(cov)
+            for c in range(2):
+                quotient = (u[k][:, c].conj() @ cov @ u[k][:, c]).real
+                assert quotient <= vals[2] + 1e-9
 
 
 class TestIterateAlignment:
@@ -133,6 +133,8 @@ class TestIterateAlignment:
         assert np.array_equal(a[2].totals, b[2].totals)
 
     def test_first_iteration_matches_public_operations(self):
+        # references: covariances summed entry by entry, then np.linalg.eigh;
+        # filters compared as projectors, free of the basis eigh picks
         cfg = NetworkConfig(6, (4, 5), 7, (3, 4))
         dof = DofAllocation((2, 2), (1, 2))
         ch = ia.sample_channels(cfg, RngStream(13, 0))
@@ -142,16 +144,16 @@ class TestIterateAlignment:
         u0 = ia.init_postcoders(cfg, dof, RngStream(13, 1))
         v_ref, u_ref, leak = [], [], 0.0
         for l in range(2):
-            v_ref.append(ia.update_v_beta(ia.covariance_tx(ch, u0, powers, l),
-                                          dof.d_beta[l]))
+            links = [ch.g_cross[k][l].conj().T for k in range(2)]
+            _, vecs = np.linalg.eigh(interference_covariance(links, u0, powers.p_alpha))
+            v_ref.append(vecs[:, :dof.d_beta[l]])
         for k in range(2):
-            cov = ia.covariance_rx(ch, tuple(v_ref), powers, k)
-            u_ref.append(ia.update_v_beta(cov, dof.d_alpha[k]))
+            cov = interference_covariance(ch.g_cross[k], v_ref, powers.p_beta)
+            _, vecs = np.linalg.eigh(cov)
+            u_ref.append(vecs[:, :dof.d_alpha[k]])
             leak += float(np.trace(u_ref[k].conj().T @ cov @ u_ref[k]).real)
-        for got, ref in zip(v1, v_ref):
-            assert np.abs(got - ref).max() < 1e-10
-        for got, ref in zip(u1, u_ref):
-            assert np.abs(got - ref).max() < 1e-10
+        for got, ref in zip(v1 + u1, v_ref + u_ref):
+            assert np.abs(got @ got.conj().T - ref @ ref.conj().T).max() < 1e-10
         assert abs(trace.totals[0] - leak) < 1e-10 * max(1.0, leak)
 
     def test_leakage_non_increasing_with_uniform_weights(self):

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ia_rtdd as ia
 from ia_rtdd.cli import main, parse_snr_grid
@@ -146,6 +150,17 @@ def test_input_errors_exit_2(small_config, tmp_path, capsys):
     assert main(["check", "--config", small_config, "--dof", "1,1;1,1",
                  "--mode", "sufficient", "--trials", "0"]) == 2
     assert capsys.readouterr().err.count("trials must be >= 1") == 2
+    for cmd, snr in (("construct", "abc"), ("construct", "nan"),
+                     ("construct", "inf"), ("construct", "-inf"),
+                     ("construct", "1e300"), ("simulate-sumrate", "0:nan:10"),
+                     ("simulate-sumrate", "0:5:1e12"),
+                     ("simulate-sumrate", "0:1e-6:1")):
+        assert main([cmd, "--config", small_config, "--dof", "1,1;1,1",
+                     f"--snr={snr}", "--iters", "2"]) == 2
+    assert "has more than 10000 points" in capsys.readouterr().err
+    assert main(["construct", "--config", small_config, "--dof", "1,1;1,1",
+                 "--seed", "-1"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2(small_config):
@@ -167,3 +182,47 @@ def test_subset_guard_env_override(tmp_path, capsys, monkeypatch):
                  "--mode", "necessary"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["verdict"] is True
+
+
+def _text(junk, low, high):
+    return st.one_of(st.sampled_from(junk), st.integers(low, high).map(str))
+
+
+@pytest.fixture(scope="module")
+def tiny_config(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "tiny.json"
+    path.write_text(json.dumps({"M_alpha": 3, "N_alpha": [2, 1],
+                                "M_beta": 3, "N_beta": [2]}))
+    return str(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(["construct", "simulate-leakage",
+                                "simulate-sumrate", "check"]),
+       dof=st.one_of(st.tuples(st.integers(0, 2), st.integers(0, 1),
+                               st.integers(0, 2)).map(lambda t: "%d,%d;%d" % t),
+                     st.sampled_from(["", ";", "a;b", "1,1", "-1,1;1", "9,9;9"])),
+       snr=st.one_of(st.sampled_from(["abc", "nan", "-inf", "0:nan:10", "0:5:1e12",
+                                      "0:1e-6:1", "", "1:2", "0:0:10", "10:5:0"]),
+                     st.floats(-310, 310).map(repr),
+                     st.tuples(st.integers(-10, 50), st.integers(1, 30),
+                               st.integers(0, 2)).map(
+                         lambda t: f"{t[0]}:{t[1]}:{t[0] + t[1] * t[2]}")),
+       seed=_text(["x", "1.5"], -2, 2 ** 40), trials=_text(["x"], -1, 2),
+       iters=_text(["2.0"], -1, 3))
+@example(command="construct", dof="1,1;1", snr="abc", seed="0", trials="1", iters="2")
+@example(command="check", dof="1,1;1", snr="0", seed="-1", trials="1", iters="2")
+def test_fuzzed_arguments_exit_cleanly(tiny_config, command, dof, snr, seed,
+                                       trials, iters):
+    argv = [command, "--config", tiny_config, f"--dof={dof}", f"--seed={seed}"]
+    if command in ("check", "simulate-sumrate"):
+        argv.append(f"--trials={trials}")
+    if command != "check":
+        argv += [f"--snr={snr}", f"--iters={iters}"]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a malformed option
+            code = exc.code
+    assert code in (0, 1, 2)

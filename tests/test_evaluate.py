@@ -105,8 +105,8 @@ class TestBaselines:
         rates_a, rates_b = [], []
         for t in range(60):
             ch = ia.sample_channels(cfg, RngStream(11, t))
-            rates_a.append(_zf_downlink_rate(list(ch.h_alpha), 6, 2 * power))
-            rates_b.append(_zf_uplink_rate(list(ch.h_beta), 6, power))
+            rates_a.append(_zf_downlink_rate(ch, cfg, 2 * power))
+            rates_b.append(_zf_uplink_rate(ch, cfg, power))
         mean_a, mean_b = np.mean(rates_a), np.mean(rates_b)
         se = np.sqrt(np.var(rates_a) / 60 + np.var(rates_b) / 60)
         assert abs(mean_a - mean_b) <= 3 * se

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 import ia_rtdd as ia
 from ia_rtdd import (BudgetError, ConfigError, DofAllocation, MatchingError,
-                     NetworkConfig, RngStream, SubsetLimitError)
+                     NetworkConfig, RngStream, SubsetLimitError, _kernels)
 
 from oracles import brute_necessary, brute_symmetric_counting
 
@@ -268,6 +270,16 @@ class TestSymmetric:
                 agreed += 1
         assert passed >= 40
         assert agreed >= 0.95 * passed
+
+    def test_one_subset_scan_per_call(self, monkeypatch):
+        # 13a-13c and 13e are read off the converse report, whose scan is the
+        # only one
+        scan = mock.Mock(wraps=_kernels.subset_scan)
+        monkeypatch.setattr(_kernels, "subset_scan", scan)
+        report = ia.check_symmetric_sufficient(EX4, 4, 3)
+        assert scan.call_count == 1
+        assert [c.condition_id for c in report.conditions] == \
+            ["13a", "13b", "13c", "13d", "13e"]
 
     @pytest.mark.parametrize("seed", range(30))
     def test_counting_condition_matches_enumeration(self, seed):

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+import ia_rtdd as ia
 from ia_rtdd import _kernels
 from ia_rtdd.model import NetworkConfig
 
@@ -54,24 +57,76 @@ def test_alignment_loop_matches_per_user_reference(seed):
     n_b = [int(v) for v in rng.integers(1, 7, size=l)]
     d_a = [int(rng.integers(0, n + 1)) for n in n_a]
     d_b = [int(rng.integers(0, n + 1)) for n in n_b]
-    g_pad = np.zeros((k, l, max(n_a), max(n_b)), dtype=complex)
-    for i, j in np.ndindex(k, l):
-        shape = (n_a[i], n_b[j])
-        g_pad[i, j, :n_a[i], :n_b[j]] = (rng.standard_normal(shape)
-                                         + 1j * rng.standard_normal(shape))
-    u0_pad = np.zeros((k, max(n_a), max(max(d_a), 1)), dtype=complex)
-    for i in range(k):
-        shape = (n_a[i], n_a[i])
-        q, _ = np.linalg.qr(rng.standard_normal(shape)
-                            + 1j * rng.standard_normal(shape))
-        u0_pad[i, :n_a[i], :d_a[i]] = q[:, :d_a[i]]
-    args = (g_pad, n_a, n_b, d_a, d_b, list(rng.uniform(0.1, 3.0, k)),
-            list(rng.uniform(0.1, 3.0, l)), u0_pad, 40, 1e-8)
+    g_cross = [[rng.standard_normal((na, nb)) + 1j * rng.standard_normal((na, nb))
+                for nb in n_b] for na in n_a]
+    u0 = []
+    for n, d in zip(n_a, d_a):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n))
+                            + 1j * rng.standard_normal((n, n)))
+        u0.append(q[:, :d])
+    args = (g_cross, n_a, n_b, d_a, d_b, list(rng.uniform(0.1, 3.0, k)),
+            list(rng.uniform(0.1, 3.0, l)), tuple(u0), 40, 1e-8)
     got = _kernels.alignment_loop(*args)
     want = per_user_alignment_loop(*args)
-    for a, b in zip(got[:4], want[:4]):
+    for a, b in zip(got[0] + got[1] + got[2:4], want[0] + want[1] + want[2:4]):
+        assert a.shape == b.shape and a.dtype == b.dtype
         assert a.tobytes() == b.tobytes()
     assert got[4:] == want[4:]
+
+
+class TestFixColumnPhases:
+    def test_phase_convention(self):
+        rng = np.random.default_rng(0)
+        mat = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        mat[0, 1] = 0.0
+        mat[0, 2] = 1e-13 * np.abs(mat[:, 2]).max()  # negligible: skipped
+        out = _kernels.fix_column_phases(mat)
+        for c, pivot in enumerate((0, 1, 1)):
+            assert out[pivot, c].real > 0
+            assert abs(out[pivot, c].imag) <= 1e-15 * abs(out[pivot, c])
+            # the same column, turned by one unit phase
+            turn = out[pivot, c] / mat[pivot, c]
+            assert abs(abs(turn) - 1) < 1e-15
+            assert np.abs(out[:, c] - turn * mat[:, c]).max() < 1e-15
+
+    def test_zero_column_unchanged(self):
+        mat = np.zeros((3, 2), dtype=complex)
+        mat[:, 1] = [0.0, -2.0j, 1.0]
+        out = _kernels.fix_column_phases(mat)
+        assert not np.any(out[:, 0])
+        assert np.allclose(out[:, 1], [0.0, 2.0, 1.0j])
+
+    def test_stack_matches_per_matrix_calls(self):
+        rng = np.random.default_rng(1)
+        stack = rng.standard_normal((3, 5, 2)) + 1j * rng.standard_normal((3, 5, 2))
+        stack[1, :, 0] = 0.0
+        stack[2, :2, 1] = 0.0
+        out = _kernels.fix_column_phases(stack)
+        for got, mat in zip(out, stack):
+            assert got.tobytes() == _kernels.fix_column_phases(mat).tobytes()
+
+
+def test_benchmark_tracer_reads_alignment_loop(monkeypatch):
+    # perfbench/spans.py reads arguments 1-4 (user antennas and streams) and
+    # output 4 (iterations run) of the alignment loop to count its FLOPs
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..",
+                                             "perfbench"))
+    import spans
+    cfg = ia.NetworkConfig(4, (3, 3), 6, (2, 2))
+    ch = ia.sample_channels(cfg, ia.RngStream(0, 0))
+    tracer = spans.Tracer()
+    tracer.install(ia)
+    try:
+        tracer.op = 0
+        ia.construct_beamformers(ch, ia.DofAllocation((2, 2), (1, 1)),
+                                 ia.power_profile_for_snr(cfg, 20.0),
+                                 ia.IterationOptions(max_iters=3), ia.RngStream(0, 1))
+        tracer.op = None
+    finally:
+        left = tracer.restore(ia)
+    assert left == []
+    loop = spans.layer_totals(tracer.spans)["kernels.alignment_loop"]
+    assert loop["calls"] == 1 and loop["flop"] > 0
 
 
 def test_backend_is_reported():

@@ -143,3 +143,13 @@ def test_rng_stream_reproducibility():
     assert np.array_equal(g1, g2)
     assert not np.array_equal(g1, g3)
     assert RngStream(123, 5).shifted(2) == RngStream(123, 7)
+
+
+def test_rng_stream_rejects_bad_seeds():
+    for bad in (-1, 1.5, "3", True, None):
+        with pytest.raises(ConfigError, match="seed"):
+            RngStream(bad, 0)
+        with pytest.raises(ConfigError, match="stream_index"):
+            RngStream(0, bad)
+    assert RngStream(np.int64(3), np.uint8(2)) == RngStream(3, 2)
+    assert RngStream(0, 0).shifted(1) == RngStream(0, 1)
