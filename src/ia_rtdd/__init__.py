@@ -13,8 +13,7 @@ from .errors import (BudgetError, ConfigError, IaRtddError, MatchingError,
                      NumericalError, SingularSystemError, SubsetLimitError)
 from .evaluate import (RateBreakdown, SweepResult, baseline_point_to_point,
                        baseline_single_cell, monte_carlo_sweep,
-                       power_profile_for_snr, snr_to_power, sum_rate,
-                       user_rate_alpha, user_rate_beta)
+                       power_profile_for_snr, snr_to_power, sum_rate)
 from .feasibility import (AlignmentMatrixLayout, ConditionResult,
                           FeasibilityReport, HallGraph, HallResult,
                           SearchResult, build_alignment_matrix,

@@ -8,7 +8,9 @@ those covariances and updates exist only inside `_kernels.alignment_loop`.
 Stage 2 (`zero_force_step2`) then zero-forces the remaining couplings
 (intra-cell interference in both cells and the BS-to-BS link) through
 pseudo-inverses of stacked effective channels.  `residual_report` measures
-how well a finished beamformer set satisfies every alignment condition.
+how well a finished beamformer set satisfies every alignment condition.  It
+and the rates of `evaluate` read the effective links ``U_r^H H_rt V_t`` of
+every receiver r and transmitter t from one table, `_link_blocks`.
 """
 
 import itertools
@@ -36,10 +38,6 @@ class PowerProfile:
         object.__setattr__(self, "p_beta", tuple(float(p) for p in self.p_beta))
         if any(p < 0 for p in self.p_alpha) or any(p < 0 for p in self.p_beta):
             raise ConfigError("transmit powers must be >= 0")
-
-    @property
-    def total_alpha(self):
-        return sum(self.p_alpha)
 
 
 @dataclass(frozen=True)
@@ -308,39 +306,30 @@ class ResidualReport:
         }
 
 
+def _link_blocks(channels, bf):
+    """Every effective link ``(U_r^H H_rt) V_t`` as ``blocks[r][t]``.
+
+    Receivers r and transmitters t both list the downlink users first, then
+    the uplink users: r < K is downlink user r and r >= K the uplink BS
+    filter of user r - K.  ``H_rt`` is ``h_alpha[r]`` or ``g_cross[r][t - K]``
+    at a downlink user and ``g_bs`` or ``h_beta[t - K]`` at the uplink BS.
+    """
+    K = len(bf.u_alpha)
+    rows = [(u, [h] * K + [*g_row])
+            for u, h, g_row in zip(bf.u_alpha, channels.h_alpha, channels.g_cross)]
+    rows += [(u, [channels.g_bs] * K + [*channels.h_beta]) for u in bf.u_beta]
+    v = [*bf.v_alpha, *bf.v_beta]
+    return [[u.conj().T @ h @ v_t for h, v_t in zip(h_row, v)] for u, h_row in rows]
+
+
 def residual_report(channels, bf, dof):
-    """Measure every alignment condition for a finished beamformer set."""
-    K = len(channels.h_alpha)
-    L = len(channels.h_beta)
-    inter_alpha = np.zeros((K, L))
-    for k in range(K):
-        for l in range(L):
-            term = bf.u_alpha[k].conj().T @ channels.g_cross[k][l] @ bf.v_beta[l]
-            inter_alpha[k, l] = np.linalg.norm(term)
-    inter_beta = np.zeros((L, K))
-    for l in range(L):
-        for k in range(K):
-            term = bf.u_beta[l].conj().T @ channels.g_bs @ bf.v_alpha[k]
-            inter_beta[l, k] = np.linalg.norm(term)
-    intra_alpha = np.zeros((K, K))
-    for k in range(K):
-        for i in range(K):
-            if i == k:
-                continue
-            term = bf.u_alpha[k].conj().T @ channels.h_alpha[k] @ bf.v_alpha[i]
-            intra_alpha[k, i] = np.linalg.norm(term)
-    intra_beta = np.zeros((L, L))
-    for l in range(L):
-        for j in range(L):
-            if j == l:
-                continue
-            term = bf.u_beta[l].conj().T @ channels.h_beta[j] @ bf.v_beta[j]
-            intra_beta[l, j] = np.linalg.norm(term)
-    margin_alpha = np.array([
-        _min_singular(bf.u_alpha[k].conj().T @ channels.h_alpha[k] @ bf.v_alpha[k])
-        for k in range(K)])
-    margin_beta = np.array([
-        _min_singular(bf.u_beta[l].conj().T @ channels.h_beta[l] @ bf.v_beta[l])
-        for l in range(L)])
-    return ResidualReport(inter_alpha, inter_beta, intra_alpha, intra_beta,
-                          margin_alpha, margin_beta)
+    """Measure every alignment condition for a finished beamformer set: the
+    norm of every link block but the desired ones, and the smallest singular
+    value of each desired link."""
+    K = len(bf.u_alpha)
+    blocks = _link_blocks(channels, bf)
+    norms = np.array([[np.linalg.norm(b) for b in row] for row in blocks])
+    np.fill_diagonal(norms, 0.0)
+    margins = np.array([_min_singular(row[r]) for r, row in enumerate(blocks)])
+    return ResidualReport(norms[:K, K:], norms[K:, :K], norms[:K, :K],
+                          norms[K:, K:], margins[:K], margins[K:])

@@ -26,11 +26,11 @@ from . import evaluate, feasibility
 from .beamform import (FLOAT_FORMAT, IterationOptions,
                        construct_beamformers, residual_report)
 from .errors import IaRtddError
+from .evaluate import MAX_ABS_SNR_DB
 from .model import (DofAllocation, NetworkConfig, RngStream, sample_channels,
                     validate_config)
 
 MAX_SNR_POINTS = 10_000
-MAX_ABS_SNR_DB = 300.0
 
 
 def _round_floats(obj):

@@ -3,7 +3,8 @@
 Rates follow the standard aligned-MIMO form
 ``log2 det(I + C_desire (I + C_intra + C_inter)^-1)`` evaluated as a
 log-determinant difference of two identity-plus-PSD matrices, which avoids
-any explicit inverse.  The sweep reruns the full beamformer pipeline per
+any explicit inverse; the covariances are built from the effective links of
+`beamform._link_blocks`.  The sweep reruns the full beamformer pipeline per
 grid point and trial with fixed random substreams, so results are
 bit-reproducible for a given seed; means are ordered folds over ascending
 trial index.
@@ -15,16 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamform import (FLOAT_FORMAT, BeamformerSet, PowerProfile,
-                       construct_beamformers, _guarded_pinv, _no_streams,
-                       _normalize_matrix, _split)
-from .errors import NumericalError, SingularSystemError
+                       construct_beamformers, _guarded_pinv, _link_blocks,
+                       _no_streams, _normalize_matrix, _split)
+from .errors import ConfigError, NumericalError, SingularSystemError
 from .model import (RngStream, sample_channels, validate_config,
                     validate_trials)
 
 _LN2 = math.log(2.0)
+MAX_ABS_SNR_DB = 300.0  # near 3080 dB the powers overflow the rate arithmetic
 
 
 def snr_to_power(snr_db):
+    """Linear power of an SNR in dB; -inf dB is zero power."""
+    if not snr_db <= MAX_ABS_SNR_DB:
+        raise ConfigError(f"SNR must be at most {MAX_ABS_SNR_DB:g} dB, got {snr_db!r}")
     return 10.0 ** (snr_db / 10.0)
 
 
@@ -70,59 +75,38 @@ def _outer(mat, weight):
     return weight * (mat @ mat.conj().T)
 
 
-def user_rate_alpha(channels, bf, powers, k):
-    """Achievable rate of downlink user k in bits per channel use."""
-    u = bf.u_alpha[k]
-    d = u.shape[1]
-    if d == 0:
-        return 0.0
-    uh = u.conj().T @ channels.h_alpha[k]
-    c_desire = _outer(uh @ bf.v_alpha[k], powers.p_alpha[k] / d)
-    c_interf = np.zeros((d, d), dtype=np.complex128)
-    for i, v in enumerate(bf.v_alpha):
-        di = v.shape[1]
-        if i == k or di == 0:
-            continue
-        c_interf += _outer(uh @ v, powers.p_alpha[i] / di)
-    for l, v in enumerate(bf.v_beta):
-        dl = v.shape[1]
-        if dl == 0:
-            continue
-        c_interf += _outer(u.conj().T @ channels.g_cross[k][l] @ v,
-                           powers.p_beta[l] / dl)
-    return _log2_det_ratio(c_desire, c_interf)
+def _user_rates(channels, bf, powers):
+    """Achievable rate of every user in bits per channel use, downlink first.
 
-
-def user_rate_beta(channels, bf, powers, l):
-    """Achievable rate of uplink user l in bits per channel use."""
-    u = bf.u_beta[l]
-    d = u.shape[1]
-    if d == 0:
-        return 0.0
-    c_desire = _outer(u.conj().T @ channels.h_beta[l] @ bf.v_beta[l],
-                      powers.p_beta[l] / d)
-    c_interf = np.zeros((d, d), dtype=np.complex128)
-    for j, v in enumerate(bf.v_beta):
-        dj = v.shape[1]
-        if j == l or dj == 0:
+    Receiver r rates its desired link ``blocks[r][r]`` against the other
+    users of its own cell, then those of the other cell, each at its power
+    per stream; users without streams neither receive nor interfere.
+    """
+    blocks = _link_blocks(channels, bf)
+    K = len(bf.u_alpha)
+    p = powers.p_alpha + powers.p_beta
+    order = list(range(len(blocks)))
+    rates = []
+    for r, row in enumerate(blocks):
+        d = row[r].shape[0]
+        if d == 0:
+            rates.append(0.0)
             continue
-        c_interf += _outer(u.conj().T @ channels.h_beta[j] @ v,
-                           powers.p_beta[j] / dj)
-    ug = u.conj().T @ channels.g_bs
-    for i, v in enumerate(bf.v_alpha):
-        di = v.shape[1]
-        if di == 0:
-            continue
-        c_interf += _outer(ug @ v, powers.p_alpha[i] / di)
-    return _log2_det_ratio(c_desire, c_interf)
+        c_desire = _outer(row[r], p[r] / d)
+        c_interf = np.zeros((d, d), dtype=np.complex128)
+        for t in order[K:] + order[:K] if r >= K else order:
+            d_t = row[t].shape[1]
+            if t != r and d_t:
+                c_interf += _outer(row[t], p[t] / d_t)
+        rates.append(_log2_det_ratio(c_desire, c_interf))
+    return rates
 
 
 def sum_rate(channels, bf, powers):
-    per_alpha = tuple(user_rate_alpha(channels, bf, powers, k)
-                      for k in range(len(bf.u_alpha)))
-    per_beta = tuple(user_rate_beta(channels, bf, powers, l)
-                     for l in range(len(bf.u_beta)))
-    return RateBreakdown(per_alpha, per_beta)
+    """Per-user rates of a beamformer set, as a `RateBreakdown`."""
+    rates = _user_rates(channels, bf, powers)
+    K = len(bf.u_alpha)
+    return RateBreakdown(tuple(rates[:K]), tuple(rates[K:]))
 
 
 def baseline_point_to_point(snr_db):
@@ -154,8 +138,7 @@ def _zf_downlink_rate(channels, config, power_total):
                        _no_streams(config.n_beta))
     p_user = power_total / sum(1 for s in streams if s)
     powers = PowerProfile((p_user,) * config.num_alpha, (0.0,) * config.num_beta)
-    return sum(user_rate_alpha(channels, bf, powers, k)
-               for k in range(config.num_alpha))
+    return sum(_user_rates(channels, bf, powers)[:config.num_alpha])
 
 
 def _zf_uplink_rate(channels, config, power_per_user):
@@ -172,8 +155,7 @@ def _zf_uplink_rate(channels, config, power_per_user):
                        u_beta, v_beta)
     powers = PowerProfile((0.0,) * config.num_alpha,
                           (power_per_user,) * config.num_beta)
-    return sum(user_rate_beta(channels, bf, powers, l)
-               for l in range(config.num_beta))
+    return sum(_user_rates(channels, bf, powers)[config.num_alpha:])
 
 
 def baseline_single_cell(config, snr_db, trials, seed):
@@ -183,7 +165,7 @@ def baseline_single_cell(config, snr_db, trials, seed):
     downlink splits the SNR budget over its active users while every uplink
     user transmits at the SNR, matching the sweep's power convention.  Each
     cell's filters go into a `BeamformerSet` whose other cell has no
-    streams, rated by `user_rate_alpha` / `user_rate_beta`.
+    streams, rated by the same per-user rates as `sum_rate`.
     """
     validate_trials(trials)
     power = snr_to_power(snr_db)
@@ -263,10 +245,10 @@ def monte_carlo_sweep(config, dof, snr_grid_db, trials, opts=None, seed=0):
     validate_trials(trials)
     K, L = config.num_alpha, config.num_beta
     grid = [float(s) for s in snr_grid_db]
+    profiles = [power_profile_for_snr(config, snr_db) for snr_db in grid]
     rows = {"sum": [], "alpha": [], "beta": [], "single": [], "p2p": [],
             "ok": [], "failed": []}
-    for snr_db in grid:
-        powers = power_profile_for_snr(config, snr_db)
+    for snr_db, powers in zip(grid, profiles):
         acc_alpha = np.zeros(K)
         acc_beta = np.zeros(L)
         ok = 0

@@ -18,7 +18,6 @@ the best one passing the selected decider.  User indices in witnesses are
 1-based to match the (alpha, k) / (beta, l) labeling used everywhere else.
 """
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -68,9 +67,6 @@ class FeasibilityReport:
         if self.extra:
             out.update(self.extra)
         return out
-
-    def to_json(self, indent=None):
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def _make_report(conditions, extra=None):

@@ -1,12 +1,16 @@
 """Independent brute-force oracles used to cross-check the fast paths.
 
 Everything here is written with itertools loops straight from the condition
-definitions, deliberately sharing no code with the package internals.
+definitions, deliberately sharing no code with the package internals; the
+rate reference shares only the log-determinant step, since what it checks is
+which links are summed and in what order.
 """
 
 import itertools
 
 import numpy as np
+
+from ia_rtdd.evaluate import _log2_det_ratio
 
 
 def iter_subset_pairs(num_alpha, num_beta):
@@ -123,3 +127,61 @@ def per_user_alignment_loop(g_cross, n_alpha, n_beta, d_alpha, d_beta,
     converged = totals[-1] <= rel_stop * totals[0]
     return (tuple(u), tuple(v), np.array(totals), np.array(per_user),
             len(totals), bool(converged))
+
+
+def per_side_rates(channels, bf, powers):
+    """Per-user rates, one formula per cell, the reference for `sum_rate`.
+
+    Each receiver sums the interference of its own cell first, then of the
+    other cell, skipping zero-stream transmitters, with the package's
+    operands, so the two must agree bit for bit.
+    Returns ``(per_alpha, per_beta)``.
+    """
+    def outer(mat, weight):
+        return weight * (mat @ mat.conj().T)
+
+    def rate_alpha(k):
+        u = bf.u_alpha[k]
+        d = u.shape[1]
+        if d == 0:
+            return 0.0
+        uh = u.conj().T @ channels.h_alpha[k]
+        c_desire = outer(uh @ bf.v_alpha[k], powers.p_alpha[k] / d)
+        c_interf = np.zeros((d, d), dtype=np.complex128)
+        for i, v in enumerate(bf.v_alpha):
+            di = v.shape[1]
+            if i == k or di == 0:
+                continue
+            c_interf += outer(uh @ v, powers.p_alpha[i] / di)
+        for l, v in enumerate(bf.v_beta):
+            dl = v.shape[1]
+            if dl == 0:
+                continue
+            c_interf += outer(u.conj().T @ channels.g_cross[k][l] @ v,
+                              powers.p_beta[l] / dl)
+        return _log2_det_ratio(c_desire, c_interf)
+
+    def rate_beta(l):
+        u = bf.u_beta[l]
+        d = u.shape[1]
+        if d == 0:
+            return 0.0
+        c_desire = outer(u.conj().T @ channels.h_beta[l] @ bf.v_beta[l],
+                         powers.p_beta[l] / d)
+        c_interf = np.zeros((d, d), dtype=np.complex128)
+        for j, v in enumerate(bf.v_beta):
+            dj = v.shape[1]
+            if j == l or dj == 0:
+                continue
+            c_interf += outer(u.conj().T @ channels.h_beta[j] @ v,
+                              powers.p_beta[j] / dj)
+        ug = u.conj().T @ channels.g_bs
+        for i, v in enumerate(bf.v_alpha):
+            di = v.shape[1]
+            if di == 0:
+                continue
+            c_interf += outer(ug @ v, powers.p_alpha[i] / di)
+        return _log2_det_ratio(c_desire, c_interf)
+
+    return (tuple(rate_alpha(k) for k in range(len(bf.u_alpha))),
+            tuple(rate_beta(l) for l in range(len(bf.u_beta))))

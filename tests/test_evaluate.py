@@ -8,6 +8,8 @@ import ia_rtdd as ia
 from ia_rtdd import (BeamformerSet, DofAllocation, IterationOptions,
                      NetworkConfig, PowerProfile, RngStream)
 
+from oracles import per_side_rates
+
 SIM = NetworkConfig(12, (8, 8, 8, 8), 18, (4, 4, 4))
 SIM_DOF = DofAllocation((3, 3, 3, 3), (2, 2, 2))
 
@@ -39,15 +41,16 @@ class TestUserRates:
     def test_zero_channels_zero_rate(self):
         ch = scalar_network(h=0.0, h_beta=0.0)
         powers = PowerProfile((1.0,), (1.0,))
-        assert ia.user_rate_alpha(ch, scalar_beamformers(), powers, 0) == 0.0
-        assert ia.user_rate_beta(ch, scalar_beamformers(), powers, 0) == 0.0
-        assert ia.sum_rate(ch, scalar_beamformers(), powers).total == 0.0
+        rates = ia.sum_rate(ch, scalar_beamformers(), powers)
+        assert rates.per_alpha == (0.0,) and rates.per_beta == (0.0,)
+        assert rates.total == 0.0
 
     def test_scalar_unit_link_is_one_bit(self):
         ch = scalar_network(h=1.0, h_beta=1.0)
         powers = PowerProfile((1.0,), (1.0,))
-        assert abs(ia.user_rate_alpha(ch, scalar_beamformers(), powers, 0) - 1.0) < 1e-12
-        assert abs(ia.user_rate_beta(ch, scalar_beamformers(), powers, 0) - 1.0) < 1e-12
+        rates = ia.sum_rate(ch, scalar_beamformers(), powers)
+        assert abs(rates.per_alpha[0] - 1.0) < 1e-12
+        assert abs(rates.per_beta[0] - 1.0) < 1e-12
 
     def test_interference_free_reduction(self):
         # with nulled interference the rate must match the direct formula
@@ -58,11 +61,12 @@ class TestUserRates:
         powers = ia.power_profile_for_snr(cfg, 20.0)
         opts = IterationOptions(max_iters=3000, leakage_stop=1e-13)
         bf, _ = ia.construct_beamformers(ch, dof, powers, opts, RngStream(3, 1))
+        rates = ia.sum_rate(ch, bf, powers)
         for k in range(2):
             m = bf.u_alpha[k].conj().T @ ch.h_alpha[k] @ bf.v_alpha[k]
             w = powers.p_alpha[k] / dof.d_alpha[k]
             expected = float(np.sum(np.log2(1 + w * np.linalg.eigvalsh(m @ m.conj().T))))
-            got = ia.user_rate_alpha(ch, bf, powers, k)
+            got = rates.per_alpha[k]
             assert abs(got - expected) < 1e-6 * max(1.0, expected)
 
     def test_beta_mirror_interference_free(self):
@@ -72,11 +76,12 @@ class TestUserRates:
         powers = ia.power_profile_for_snr(cfg, 20.0)
         opts = IterationOptions(max_iters=3000, leakage_stop=1e-13)
         bf, _ = ia.construct_beamformers(ch, dof, powers, opts, RngStream(4, 1))
+        rates = ia.sum_rate(ch, bf, powers)
         for l in range(3):
             m = bf.u_beta[l].conj().T @ ch.h_beta[l] @ bf.v_beta[l]
             w = powers.p_beta[l] / dof.d_beta[l]
             expected = float(np.sum(np.log2(1 + w * np.linalg.eigvalsh(m @ m.conj().T))))
-            got = ia.user_rate_beta(ch, bf, powers, l)
+            got = rates.per_beta[l]
             assert abs(got - expected) < 1e-4 * max(1.0, expected)
 
     def test_sum_additivity(self):
@@ -85,6 +90,94 @@ class TestUserRates:
         rates = ia.sum_rate(ch, scalar_beamformers(), powers)
         assert rates.total == rates.per_alpha[0] + rates.per_beta[0]
         assert rates.per_alpha[0] > 0 and rates.per_beta[0] > 0
+
+def random_link_case(seed):
+    """An irregular network of 1-4 users per cell with random filters of
+    random width (zero included) and random powers; seeds 0 and 1 (mod 10)
+    silence the downlink and the uplink cell."""
+    rng = np.random.default_rng(seed)
+    k, l = (int(v) for v in rng.integers(1, 5, size=2))
+    n_a = tuple(int(v) for v in rng.integers(1, 7, size=k))
+    n_b = tuple(int(v) for v in rng.integers(1, 7, size=l))
+    cfg = NetworkConfig(int(rng.integers(1, 9)), n_a, int(rng.integers(1, 9)), n_b)
+    d_a = [int(rng.integers(0, n + 1)) for n in n_a]
+    d_b = [int(rng.integers(0, n + 1)) for n in n_b]
+    if seed % 10 == 0:
+        d_a = [0] * k
+    if seed % 10 == 1:
+        d_b = [0] * l
+
+    def filters(rows, widths):
+        return tuple(rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d))
+                     for r, d in zip(rows, widths))
+
+    bf = BeamformerSet(filters(n_a, d_a), filters([cfg.m_alpha] * k, d_a),
+                       filters([cfg.m_beta] * l, d_b), filters(n_b, d_b))
+    powers = PowerProfile(rng.uniform(0.0, 4.0, k), rng.uniform(0.0, 4.0, l))
+    return ia.sample_channels(cfg, RngStream(seed, 0)), bf, powers
+
+
+def per_link_residuals(ch, bf):
+    """The four residual matrices and two margin vectors, one link at a time."""
+    def norm(u, h, v):
+        return np.linalg.norm(u.conj().T @ h @ v)
+
+    def margin(u, h, v):
+        m = u.conj().T @ h @ v
+        return np.linalg.svd(m, compute_uv=False)[-1] if m.size else np.inf
+
+    K, L = len(bf.u_alpha), len(bf.u_beta)
+    u_a, v_a, u_b, v_b = bf.u_alpha, bf.v_alpha, bf.u_beta, bf.v_beta
+    return (
+        np.array([[norm(u_a[k], ch.g_cross[k][l], v_b[l]) for l in range(L)]
+                  for k in range(K)]),
+        np.array([[norm(u_b[l], ch.g_bs, v_a[k]) for k in range(K)] for l in range(L)]),
+        np.array([[0.0 if i == k else norm(u_a[k], ch.h_alpha[k], v_a[i])
+                   for i in range(K)] for k in range(K)]),
+        np.array([[0.0 if j == l else norm(u_b[l], ch.h_beta[j], v_b[j])
+                   for j in range(L)] for l in range(L)]),
+        np.array([margin(u_a[k], ch.h_alpha[k], v_a[k]) for k in range(K)]),
+        np.array([margin(u_b[l], ch.h_beta[l], v_b[l]) for l in range(L)]),
+    )
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_link_table_matches_per_link_references(seed):
+    # bit for bit: the same operands, products and summation order
+    ch, bf, powers = random_link_case(seed)
+    rates = ia.sum_rate(ch, bf, powers)
+    want = per_side_rates(ch, bf, powers)
+    assert np.array(rates.per_alpha + rates.per_beta).tobytes() == \
+        np.array(want[0] + want[1]).tobytes()
+    dof = DofAllocation(tuple(u.shape[1] for u in bf.u_alpha),
+                        tuple(u.shape[1] for u in bf.u_beta))
+    report = ia.residual_report(ch, bf, dof)
+    got = (report.inter_alpha, report.inter_beta, report.intra_alpha,
+           report.intra_beta, report.margin_alpha, report.margin_beta)
+    for a, b in zip(got, per_link_residuals(ch, bf)):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+class TestSnrGuard:
+    CFG = NetworkConfig(4, (3, 3), 6, (2, 2))
+
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), 300.5,
+                                        3082.0, 3084.0])
+    def test_rejected_through_the_library(self, snr_db):
+        with pytest.raises(ia.ConfigError, match="SNR must be at most 300 dB"):
+            ia.snr_to_power(snr_db)
+        with pytest.raises(ia.ConfigError, match="SNR"):
+            ia.monte_carlo_sweep(self.CFG, DofAllocation((2, 2), (1, 1)),
+                                 [0.0, snr_db], trials=1,
+                                 opts=IterationOptions(max_iters=20))
+        with pytest.raises(ia.ConfigError, match="SNR"):
+            ia.baseline_single_cell(self.CFG, snr_db, 1, seed=0)
+
+    def test_limit_itself_accepted(self):
+        assert ia.snr_to_power(300.0) == 10.0 ** 30.0
+        assert math.isfinite(ia.baseline_single_cell(self.CFG, 300.0, 1, seed=0))
+
 
 class TestBaselines:
     def test_single_cell_slope_near_dof(self):

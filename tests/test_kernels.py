@@ -108,25 +108,34 @@ class TestFixColumnPhases:
 
 def test_benchmark_tracer_reads_alignment_loop(monkeypatch):
     # perfbench/spans.py reads arguments 1-4 (user antennas and streams) and
-    # output 4 (iterations run) of the alignment loop to count its FLOPs
+    # output 4 (iterations run) of the alignment loop to count its FLOPs, and
+    # the benchmark calls residual_report(channels, bf, dof) and
+    # sum_rate(channels, bf, powers) through the package namespace
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..",
                                              "perfbench"))
     import spans
     cfg = ia.NetworkConfig(4, (3, 3), 6, (2, 2))
+    dof = ia.DofAllocation((2, 2), (1, 1))
+    powers = ia.power_profile_for_snr(cfg, 20.0)
     ch = ia.sample_channels(cfg, ia.RngStream(0, 0))
     tracer = spans.Tracer()
     tracer.install(ia)
     try:
         tracer.op = 0
-        ia.construct_beamformers(ch, ia.DofAllocation((2, 2), (1, 1)),
-                                 ia.power_profile_for_snr(cfg, 20.0),
-                                 ia.IterationOptions(max_iters=3), ia.RngStream(0, 1))
+        bf, _ = ia.construct_beamformers(ch, dof, powers, ia.IterationOptions(max_iters=3),
+                                         ia.RngStream(0, 1))
+        ia.residual_report(ch, bf, dof)
+        ia.sum_rate(ch, bf, powers)
         tracer.op = None
     finally:
         left = tracer.restore(ia)
     assert left == []
-    loop = spans.layer_totals(tracer.spans)["kernels.alignment_loop"]
+    totals = spans.layer_totals(tracer.spans)
+    loop = totals["kernels.alignment_loop"]
     assert loop["calls"] == 1 and loop["flop"] > 0
+    assert totals["beamform.residual_report"]["calls"] == 1
+    assert "margin_ok" in totals["beamform.residual_report"]
+    assert totals["evaluate.sum_rate"]["calls"] == 1
 
 
 def test_backend_is_reported():
