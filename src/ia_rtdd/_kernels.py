@@ -146,11 +146,15 @@ def alignment_loop(g_cross, n_alpha, n_beta, d_alpha, d_beta,
             g_h[j, i] = np.ascontiguousarray(blk.conj().transpose(1, 0, 3, 2))
     u = [np.array([u0[k] for k in ks]) for _, ks in ga]
     v = [None] * len(gb)
-    totals = np.zeros(max_iters)
-    per_user = np.zeros((max_iters, len(n_alpha)))
+    # leakage records grow by doubling, so memory follows the iterations run
+    totals = np.zeros(min(max_iters, 1024))
+    per_user = np.zeros((len(totals), len(n_alpha)))
     n_iters = 0
     converged = False
     for it in range(max_iters):
+        if it == len(totals):
+            totals = np.concatenate((totals, np.zeros_like(totals)))
+            per_user = np.concatenate((per_user, np.zeros_like(per_user)))
         for j, ((nb, db), ls) in enumerate(gb):
             terms = [w_a[i] * _gram(g_h[j, i] @ u[i]) for i in range(len(ga))]
             cov = np.zeros((len(ls), nb, nb), dtype=np.complex128)

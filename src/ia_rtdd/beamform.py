@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConfigError, SingularSystemError
-from .model import RngStream, complex_gaussian, validate_config
+from .model import RngStream, _as_int, complex_gaussian, validate_config
 
 COND_LIMIT = 1e12
 FLOAT_FORMAT = "%.9g"  # every float written to CSV or JSON output
@@ -46,6 +46,7 @@ class IterationOptions:
     leakage_stop: float = 1e-10
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iters", _as_int(self.max_iters, "max_iters"))
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
         if not self.leakage_stop > 0:

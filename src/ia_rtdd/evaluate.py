@@ -4,10 +4,11 @@ Rates follow the standard aligned-MIMO form
 ``log2 det(I + C_desire (I + C_intra + C_inter)^-1)`` evaluated as a
 log-determinant difference of two identity-plus-PSD matrices, which avoids
 any explicit inverse; the covariances are built from the effective links of
-`beamform._link_blocks`.  The sweep reruns the full beamformer pipeline per
-grid point and trial with fixed random substreams, so results are
-bit-reproducible for a given seed; means are ordered folds over ascending
-trial index.
+`beamform._link_blocks`.  The sweep takes one trial at a time: it draws
+the trial's channels and builds its single-cell baseline once, then reruns
+the beamformer pipeline and rates both at every grid point, with fixed
+random substreams, so results are bit-reproducible for a given seed; means
+are ordered folds over ascending trial index.
 """
 
 import math
@@ -75,15 +76,15 @@ def _outer(mat, weight):
     return weight * (mat @ mat.conj().T)
 
 
-def _user_rates(channels, bf, powers):
+def _user_rates(blocks, powers):
     """Achievable rate of every user in bits per channel use, downlink first.
 
-    Receiver r rates its desired link ``blocks[r][r]`` against the other
-    users of its own cell, then those of the other cell, each at its power
-    per stream; users without streams neither receive nor interfere.
+    ``blocks`` is the link table of `beamform._link_blocks`.  Receiver r
+    rates its desired link ``blocks[r][r]`` against the other users of its
+    own cell, then those of the other cell, each at its power per stream;
+    users without streams neither receive nor interfere.
     """
-    blocks = _link_blocks(channels, bf)
-    K = len(bf.u_alpha)
+    K = len(powers.p_alpha)
     p = powers.p_alpha + powers.p_beta
     order = list(range(len(blocks)))
     rates = []
@@ -104,7 +105,7 @@ def _user_rates(channels, bf, powers):
 
 def sum_rate(channels, bf, powers):
     """Per-user rates of a beamformer set, as a `RateBreakdown`."""
-    rates = _user_rates(channels, bf, powers)
+    rates = _user_rates(_link_blocks(channels, bf), powers)
     K = len(bf.u_alpha)
     return RateBreakdown(tuple(rates[:K]), tuple(rates[K:]))
 
@@ -126,23 +127,24 @@ def _round_robin_streams(caps, m_antennas):
     return out
 
 
-def _zf_downlink_rate(channels, config, power_total):
-    """Zero-forcing sum rate of the downlink cell running alone."""
+def _single_cell_links(channels, config):
+    """Zero-forcing link tables of each cell running alone, and the number of
+    downlink users with streams; none of them depends on the SNR.
+
+    Each cell's filters go into a `BeamformerSet` whose other cell has no
+    streams, so its table holds the links `_user_rates` reads.
+    """
     streams = _round_robin_streams(config.n_alpha, config.m_alpha)
     u_alpha = tuple(np.linalg.svd(h)[0][:, :s]
                     for h, s in zip(channels.h_alpha, streams))
     rows = [u.conj().T @ h for u, h in zip(u_alpha, channels.h_alpha)]
     pre = _guarded_pinv(np.vstack(rows), "single-cell downlink")
     v_alpha = _split(_normalize_matrix(pre, "single-cell precoder"), streams, 1)
-    bf = BeamformerSet(u_alpha, v_alpha, _no_streams([config.m_beta] * config.num_beta),
-                       _no_streams(config.n_beta))
-    p_user = power_total / sum(1 for s in streams if s)
-    powers = PowerProfile((p_user,) * config.num_alpha, (0.0,) * config.num_beta)
-    return sum(_user_rates(channels, bf, powers)[:config.num_alpha])
+    down = BeamformerSet(u_alpha, v_alpha,
+                         _no_streams([config.m_beta] * config.num_beta),
+                         _no_streams(config.n_beta))
+    active = sum(1 for s in streams if s)
 
-
-def _zf_uplink_rate(channels, config, power_per_user):
-    """Zero-forcing sum rate of the uplink cell running alone."""
     streams = _round_robin_streams(config.n_beta, config.m_beta)
     v_beta = tuple(np.linalg.svd(h)[2].conj().T[:, :s]
                    for h, s in zip(channels.h_beta, streams))
@@ -150,12 +152,22 @@ def _zf_uplink_rate(channels, config, power_per_user):
     p_up = _guarded_pinv(np.hstack(blocks), "single-cell uplink")
     u_beta = tuple(_normalize_matrix(blk.conj().T, "single-cell postcoder")
                    for blk in _split(p_up, streams, 0))
-    bf = BeamformerSet(_no_streams(config.n_alpha),
+    up = BeamformerSet(_no_streams(config.n_alpha),
                        _no_streams([config.m_alpha] * config.num_alpha),
                        u_beta, v_beta)
-    powers = PowerProfile((0.0,) * config.num_alpha,
-                          (power_per_user,) * config.num_beta)
-    return sum(_user_rates(channels, bf, powers)[config.num_alpha:])
+    return _link_blocks(channels, down), _link_blocks(channels, up), active
+
+
+def _single_cell_rates(links, config, power):
+    """(downlink, uplink) zero-forcing sum rates of the cells of
+    `_single_cell_links` at linear power ``power``: the downlink BS splits it
+    over its active users, every uplink user transmits at it."""
+    down, up, active = links
+    K, L = config.num_alpha, config.num_beta
+    p_user = power / active
+    rates_a = _user_rates(down, PowerProfile((p_user,) * K, (0.0,) * L))
+    rates_b = _user_rates(up, PowerProfile((0.0,) * K, (power,) * L))
+    return sum(rates_a[:K]), sum(rates_b[K:])
 
 
 def baseline_single_cell(config, snr_db, trials, seed):
@@ -163,19 +175,16 @@ def baseline_single_cell(config, snr_db, trials, seed):
 
     Streams are split round-robin up to each user's antenna count; the
     downlink splits the SNR budget over its active users while every uplink
-    user transmits at the SNR, matching the sweep's power convention.  Each
-    cell's filters go into a `BeamformerSet` whose other cell has no
-    streams, rated by the same per-user rates as `sum_rate`.
+    user transmits at the SNR, matching the sweep's power convention.  Both
+    cells are rated by the same per-user rates as `sum_rate`.
     """
-    validate_trials(trials)
+    trials = validate_trials(trials)
     power = snr_to_power(snr_db)
-    sum_alpha = 0.0
-    sum_beta = 0.0
+    sums = np.zeros(2)
     for t in range(trials):
         channels = sample_channels(config, RngStream(seed, t))
-        sum_alpha += _zf_downlink_rate(channels, config, power)
-        sum_beta += _zf_uplink_rate(channels, config, power)
-    return max(sum_alpha / trials, sum_beta / trials)
+        sums += _single_cell_rates(_single_cell_links(channels, config), config, power)
+    return float(max(sums / trials))
 
 
 @dataclass(frozen=True)
@@ -233,62 +242,48 @@ class SweepResult:
 
 
 def monte_carlo_sweep(config, dof, snr_grid_db, trials, opts=None, seed=0):
-    """Run the full pipeline per grid point and trial and average the rates.
+    """Run the full pipeline per trial and grid point and average the rates.
 
     Channels for trial t come from substream t of the seed and the filter
     initialization from substream trials + t, so reruns with the same seed
-    are bit-identical.  Trials that raise a singular-system or numerical
-    error are dropped from the means and counted per grid point; a grid
-    point only fails when every trial failed (mean reported as NaN).
+    are bit-identical.  Each trial draws its channels and builds the
+    single-cell baseline once, then rates both at every grid point.  Trials
+    that raise a singular-system or numerical error are dropped from the
+    means and counted per grid point; a grid point only fails when every
+    trial failed (mean reported as NaN).
     """
     validate_config(config, dof)
-    validate_trials(trials)
-    K, L = config.num_alpha, config.num_beta
+    trials = validate_trials(trials)
+    K = config.num_alpha
     grid = [float(s) for s in snr_grid_db]
     profiles = [power_profile_for_snr(config, snr_db) for snr_db in grid]
-    rows = {"sum": [], "alpha": [], "beta": [], "single": [], "p2p": [],
-            "ok": [], "failed": []}
-    for snr_db, powers in zip(grid, profiles):
-        acc_alpha = np.zeros(K)
-        acc_beta = np.zeros(L)
-        ok = 0
-        failed = 0
-        for t in range(trials):
-            channels = sample_channels(config, RngStream(seed, t))
+    acc = np.zeros((len(grid), K + config.num_beta))
+    single = np.zeros((len(grid), 2))
+    ok = np.zeros(len(grid), dtype=int)
+    for t in range(trials):
+        channels = sample_channels(config, RngStream(seed, t))
+        links = _single_cell_links(channels, config)
+        for i, (snr_db, powers) in enumerate(zip(grid, profiles)):
+            single[i] += _single_cell_rates(links, config, snr_to_power(snr_db))
             try:
                 bf, _ = construct_beamformers(channels, dof, powers, opts,
                                               rng=RngStream(seed, trials + t))
                 rates = sum_rate(channels, bf, powers)
             except (SingularSystemError, NumericalError):
-                failed += 1
                 continue
-            acc_alpha += np.asarray(rates.per_alpha)
-            acc_beta += np.asarray(rates.per_beta)
-            ok += 1
-        if ok:
-            mean_alpha = acc_alpha / ok
-            mean_beta = acc_beta / ok
-            mean_sum = float(mean_alpha.sum() + mean_beta.sum())
-        else:
-            mean_alpha = np.full(K, np.nan)
-            mean_beta = np.full(L, np.nan)
-            mean_sum = float("nan")
-        rows["sum"].append(mean_sum)
-        rows["alpha"].append(tuple(mean_alpha))
-        rows["beta"].append(tuple(mean_beta))
-        rows["single"].append(baseline_single_cell(config, snr_db, trials, seed))
-        rows["p2p"].append(baseline_point_to_point(snr_db))
-        rows["ok"].append(ok)
-        rows["failed"].append(failed)
+            acc[i] += rates.per_alpha + rates.per_beta
+            ok[i] += 1
+    with np.errstate(invalid="ignore"):
+        means = acc / ok[:, None]
     return SweepResult(
         snr_db=tuple(grid),
-        mean_sum_rate=tuple(rows["sum"]),
-        mean_alpha=tuple(rows["alpha"]),
-        mean_beta=tuple(rows["beta"]),
-        baseline_single_cell=tuple(rows["single"]),
-        baseline_p2p=tuple(rows["p2p"]),
-        trials_ok=tuple(rows["ok"]),
-        trials_failed=tuple(rows["failed"]),
+        mean_sum_rate=tuple(float(m[:K].sum() + m[K:].sum()) for m in means),
+        mean_alpha=tuple(tuple(m[:K]) for m in means),
+        mean_beta=tuple(tuple(m[K:]) for m in means),
+        baseline_single_cell=tuple(float(max(s / trials)) for s in single),
+        baseline_p2p=tuple(baseline_point_to_point(snr_db) for snr_db in grid),
+        trials_ok=tuple(int(n) for n in ok),
+        trials_failed=tuple(trials - int(n) for n in ok),
         trials=trials,
         seed=seed,
     )

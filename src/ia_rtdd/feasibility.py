@@ -250,7 +250,7 @@ def check_sufficient(config, dof, trials=DEFAULT_RANK_TRIALS, rng=None):
     `ConfigError` unless ``trials >= 1``.
     """
     validate_config(config, dof)
-    validate_trials(trials)
+    trials = validate_trials(trials)
     if rng is None:
         rng = RngStream(0, 0)
     conditions = _budget_conditions(config, dof)
@@ -497,15 +497,6 @@ class SearchResult:
                 "report": self.report.to_dict()}
 
 
-def _normalize_mode(mode):
-    m = mode.strip().lower().replace("_", "-")
-    if m in ("necessary", "necessary-bound"):
-        return "necessary"
-    if m in ("sufficient", "sufficient-certified"):
-        return "sufficient"
-    raise ConfigError(f"unknown search mode {mode!r}")
-
-
 def _iter_allocations(config, total):
     """All valid allocations with the given sum, lexicographically ascending.
 
@@ -552,7 +543,8 @@ def search_max_sum_dof(config, mode="necessary", trials=DEFAULT_RANK_TRIALS,
     deciders, so the search always returns.  Raises `BudgetError` when the
     raw allocation space prod(N + 1) exceeds ``budget``.
     """
-    mode = _normalize_mode(mode)
+    if mode not in ("necessary", "sufficient"):
+        raise ConfigError(f"unknown search mode {mode!r}")
     space = 1
     for n in list(config.n_alpha) + list(config.n_beta):
         space *= n + 1

@@ -151,9 +151,12 @@ class DofAllocation:
 
 
 def validate_trials(trials):
-    """Require at least one Monte-Carlo trial or channel draw."""
+    """Require at least one Monte-Carlo trial or channel draw; return the
+    count as a Python int."""
+    trials = _as_int(trials, "trials")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    return trials
 
 
 def validate_config(config, dof):

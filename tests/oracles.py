@@ -3,14 +3,22 @@
 Everything here is written with itertools loops straight from the condition
 definitions, deliberately sharing no code with the package internals; the
 rate reference shares only the log-determinant step, since what it checks is
-which links are summed and in what order.
+which links are summed and in what order, and the sweep reference shares the
+pipeline steps it calls per trial, since what it checks is the order of the
+draws and folds around them.
 """
 
 import itertools
 
 import numpy as np
 
-from ia_rtdd.evaluate import _log2_det_ratio
+from ia_rtdd.beamform import (BeamformerSet, PowerProfile, construct_beamformers,
+                              _guarded_pinv, _no_streams, _normalize_matrix, _split)
+from ia_rtdd.errors import NumericalError, SingularSystemError
+from ia_rtdd.evaluate import (SweepResult, _log2_det_ratio, _round_robin_streams,
+                              baseline_point_to_point, power_profile_for_snr,
+                              snr_to_power)
+from ia_rtdd.model import RngStream, sample_channels
 
 
 def iter_subset_pairs(num_alpha, num_beta):
@@ -185,3 +193,83 @@ def per_side_rates(channels, bf, powers):
 
     return (tuple(rate_alpha(k) for k in range(len(bf.u_alpha))),
             tuple(rate_beta(l) for l in range(len(bf.u_beta))))
+
+
+def _single_cell_rate(channels, config, power, downlink):
+    """Zero-forcing sum rate of one cell running alone at one power, filters
+    built from scratch and rated by `per_side_rates`."""
+    K, L = config.num_alpha, config.num_beta
+    if downlink:
+        streams = _round_robin_streams(config.n_alpha, config.m_alpha)
+        u_alpha = tuple(np.linalg.svd(h)[0][:, :s]
+                        for h, s in zip(channels.h_alpha, streams))
+        rows = [u.conj().T @ h for u, h in zip(u_alpha, channels.h_alpha)]
+        pre = _guarded_pinv(np.vstack(rows), "single-cell downlink")
+        v_alpha = _split(_normalize_matrix(pre, "single-cell precoder"), streams, 1)
+        bf = BeamformerSet(u_alpha, v_alpha, _no_streams([config.m_beta] * L),
+                           _no_streams(config.n_beta))
+        p_user = power / sum(1 for s in streams if s)
+        powers = PowerProfile((p_user,) * K, (0.0,) * L)
+        return sum(per_side_rates(channels, bf, powers)[0])
+    streams = _round_robin_streams(config.n_beta, config.m_beta)
+    v_beta = tuple(np.linalg.svd(h)[2].conj().T[:, :s]
+                   for h, s in zip(channels.h_beta, streams))
+    blocks = [h @ v for h, v in zip(channels.h_beta, v_beta)]
+    p_up = _guarded_pinv(np.hstack(blocks), "single-cell uplink")
+    u_beta = tuple(_normalize_matrix(blk.conj().T, "single-cell postcoder")
+                   for blk in _split(p_up, streams, 0))
+    bf = BeamformerSet(_no_streams(config.n_alpha), _no_streams([config.m_alpha] * K),
+                       u_beta, v_beta)
+    powers = PowerProfile((0.0,) * K, (power,) * L)
+    return sum(per_side_rates(channels, bf, powers)[1])
+
+
+def per_point_sweep(config, dof, snr_grid_db, trials, opts=None, seed=0):
+    """One grid point at a time, the reference for `evaluate.monte_carlo_sweep`.
+
+    Every (grid point, trial) redraws the trial's channels, and the baseline
+    redraws them again and rebuilds its filters, so the two must agree bit
+    for bit on every point with a successful trial.
+    """
+    K, L = config.num_alpha, config.num_beta
+    rows = {"sum": [], "alpha": [], "beta": [], "single": [], "p2p": [],
+            "ok": [], "failed": []}
+    for snr_db in snr_grid_db:
+        powers = power_profile_for_snr(config, snr_db)
+        acc_alpha, acc_beta = np.zeros(K), np.zeros(L)
+        ok = failed = 0
+        for t in range(trials):
+            channels = sample_channels(config, RngStream(seed, t))
+            try:
+                bf, _ = construct_beamformers(channels, dof, powers, opts,
+                                              rng=RngStream(seed, trials + t))
+                per_alpha, per_beta = per_side_rates(channels, bf, powers)
+            except (SingularSystemError, NumericalError):
+                failed += 1
+                continue
+            acc_alpha += np.asarray(per_alpha)
+            acc_beta += np.asarray(per_beta)
+            ok += 1
+        if ok:
+            mean_alpha, mean_beta = acc_alpha / ok, acc_beta / ok
+            mean_sum = float(mean_alpha.sum() + mean_beta.sum())
+        else:
+            mean_alpha, mean_beta = np.full(K, np.nan), np.full(L, np.nan)
+            mean_sum = float("nan")
+        power = snr_to_power(snr_db)
+        sum_alpha = sum_beta = 0.0
+        for t in range(trials):
+            channels = sample_channels(config, RngStream(seed, t))
+            sum_alpha += _single_cell_rate(channels, config, power, True)
+            sum_beta += _single_cell_rate(channels, config, power, False)
+        rows["sum"].append(mean_sum)
+        rows["alpha"].append(tuple(mean_alpha))
+        rows["beta"].append(tuple(mean_beta))
+        rows["single"].append(max(sum_alpha / trials, sum_beta / trials))
+        rows["p2p"].append(baseline_point_to_point(snr_db))
+        rows["ok"].append(ok)
+        rows["failed"].append(failed)
+    return SweepResult(tuple(float(s) for s in snr_grid_db), tuple(rows["sum"]),
+                       tuple(rows["alpha"]), tuple(rows["beta"]),
+                       tuple(rows["single"]), tuple(rows["p2p"]),
+                       tuple(rows["ok"]), tuple(rows["failed"]), trials, seed)

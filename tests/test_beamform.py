@@ -122,6 +122,15 @@ class TestIterateAlignment:
         assert trace.converged
         assert trace.totals[0] == 0.0
 
+    def test_iteration_cap_must_be_an_integer(self):
+        for bad in (2.5, True, "10", None):
+            with pytest.raises(ia.ConfigError, match="max_iters must be an integer"):
+                IterationOptions(max_iters=bad)
+        with pytest.raises(ia.ConfigError, match="max_iters must be >= 1"):
+            IterationOptions(max_iters=0)
+        assert IterationOptions(max_iters=np.int64(7)).max_iters == 7
+        assert type(IterationOptions(max_iters=7.0).max_iters) is int
+
     def test_bit_identical_reruns(self):
         ch = ia.sample_channels(SIM, RngStream(21, 0))
         powers = unit_powers(SIM)

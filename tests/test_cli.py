@@ -96,6 +96,20 @@ def test_construct_reports_residuals(small_config, capsys):
     assert data["leakage"]["iterations"] >= 1
 
 
+def test_construct_memory_follows_iterations_run(tmp_path, capsys):
+    # a cap far beyond memory: the leakage records grow with the iterations
+    # actually run, so a run converging early needs no more
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"M_alpha": 3, "N_alpha": [2, 1],
+                                "M_beta": 3, "N_beta": [2]}))
+    for seed in range(3):
+        code = main(["construct", "--config", str(path), "--dof", "1,1;1",
+                     "--iters", "10000000000000", "--seed", str(seed)])
+        assert code == 0
+        leakage = json.loads(capsys.readouterr().out)["leakage"]
+        assert leakage["converged"] and leakage["iterations"] <= 37
+
+
 def test_simulate_leakage_csv(small_config, tmp_path):
     out = tmp_path / "trace.csv"
     code = main(["simulate-leakage", "--config", small_config, "--dof", "2,2;1,1",

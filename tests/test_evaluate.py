@@ -6,9 +6,10 @@ import pytest
 
 import ia_rtdd as ia
 from ia_rtdd import (BeamformerSet, DofAllocation, IterationOptions,
-                     NetworkConfig, PowerProfile, RngStream)
+                     NetworkConfig, PowerProfile, RngStream, evaluate)
 
-from oracles import per_side_rates
+import oracles
+from oracles import per_point_sweep, per_side_rates
 
 SIM = NetworkConfig(12, (8, 8, 8, 8), 18, (4, 4, 4))
 SIM_DOF = DofAllocation((3, 3, 3, 3), (2, 2, 2))
@@ -192,14 +193,14 @@ class TestBaselines:
     def test_symmetric_network_cells_agree(self):
         # matched per-user powers: the two cells are transpose duals, so their
         # zero-forcing sum rates share one distribution
-        from ia_rtdd.evaluate import _zf_downlink_rate, _zf_uplink_rate
         cfg = NetworkConfig(6, (3, 3), 6, (3, 3))
         power = 10.0 ** 2.0
         rates_a, rates_b = [], []
         for t in range(60):
             ch = ia.sample_channels(cfg, RngStream(11, t))
-            rates_a.append(_zf_downlink_rate(ch, cfg, 2 * power))
-            rates_b.append(_zf_uplink_rate(ch, cfg, power))
+            links = evaluate._single_cell_links(ch, cfg)
+            rates_a.append(evaluate._single_cell_rates(links, cfg, 2 * power)[0])
+            rates_b.append(evaluate._single_cell_rates(links, cfg, power)[1])
         mean_a, mean_b = np.mean(rates_a), np.mean(rates_b)
         se = np.sqrt(np.var(rates_a) / 60 + np.var(rates_b) / 60)
         assert abs(mean_a - mean_b) <= 3 * se
@@ -222,6 +223,21 @@ class TestSweep:
             ia.baseline_single_cell(cfg, 0.0, 0, seed=0)
         with pytest.raises(ia.ConfigError, match="trials must be >= 1"):
             ia.check_sufficient(cfg, dof, trials=0)
+
+    def test_non_integer_counts_rejected(self):
+        cfg = NetworkConfig(4, (3, 3), 6, (2, 2))
+        dof = DofAllocation((2, 2), (1, 1))
+        for trials in (2.5, True, "2"):
+            with pytest.raises(ia.ConfigError, match="trials must be an integer"):
+                ia.monte_carlo_sweep(cfg, dof, [0.0], trials=trials)
+            with pytest.raises(ia.ConfigError, match="trials must be an integer"):
+                ia.baseline_single_cell(cfg, 0.0, trials, 0)
+            with pytest.raises(ia.ConfigError, match="trials must be an integer"):
+                ia.check_sufficient(cfg, dof, trials=trials)
+        # an integral float or numpy integer is the same count
+        assert ia.baseline_single_cell(cfg, 10.0, 2.0, 0) == \
+            ia.baseline_single_cell(cfg, 10.0, np.int64(2), 0) == \
+            ia.baseline_single_cell(cfg, 10.0, 2, 0)
 
     def test_zero_power_trial(self):
         cfg = NetworkConfig(4, (3, 3), 6, (2, 2))
@@ -257,3 +273,80 @@ class TestSweep:
                                    opts=IterationOptions(max_iters=100), seed=9)
         assert all(r >= 0 for r in res.mean_sum_rate)
         assert all(v >= 0 for row in res.mean_alpha for v in row)
+
+
+# Irregular networks: a user without streams, a silent cell, a downlink-heavy
+# allocation, each swept from zero power up.
+IRREGULAR = (
+    (NetworkConfig(4, (3, 3), 6, (2, 3)), DofAllocation((2, 0), (1, 2))),
+    (NetworkConfig(4, (3, 3), 6, (2, 3)), DofAllocation((0, 0), (1, 2))),
+    (NetworkConfig(4, (3, 3), 6, (2, 3)), DofAllocation((2, 1), (0, 0))),
+    (NetworkConfig(13, (3, 6), 10, (4, 6, 6)), DofAllocation((1, 2), (2, 4, 4))),
+)
+SWEEP_OPTS = IterationOptions(max_iters=300, leakage_stop=1e-12)
+
+
+def sweep_bytes(res, rows=None):
+    """Every number of a sweep result at the grid rows ``rows``, as bytes."""
+    rows = range(len(res.snr_db)) if rows is None else rows
+    out = []
+    for i in rows:
+        row = (res.snr_db[i], res.mean_sum_rate[i], *res.mean_alpha[i],
+               *res.mean_beta[i], res.baseline_single_cell[i], res.baseline_p2p[i])
+        out.append((np.array(row).tobytes(), res.trials_ok[i], res.trials_failed[i]))
+    return out, res.trials, res.seed
+
+
+class TestSweepOrder:
+    @pytest.mark.parametrize("case", range(len(IRREGULAR)))
+    def test_matches_per_point_reference(self, case):
+        # bit for bit: the trial-major sweep folds the same per-trial rates in
+        # the same order as redrawing everything at every grid point
+        cfg, dof = IRREGULAR[case]
+        grid = [float("-inf"), 0.0, 30.0]
+        got = ia.monte_carlo_sweep(cfg, dof, grid, 3, SWEEP_OPTS, seed=case)
+        want = per_point_sweep(cfg, dof, grid, 3, SWEEP_OPTS, seed=case)
+        assert got.trials_ok == (3, 3, 3)
+        assert sweep_bytes(got) == sweep_bytes(want)
+
+    def test_failed_trials_are_counted_per_point(self, monkeypatch):
+        cfg = NetworkConfig(4, (3, 3), 6, (2, 2))
+        dof = DofAllocation((2, 2), (1, 1))
+        grid = [0.0, 10.0, 20.0]
+        trials = 3
+        # (trial, SNR) points that fail; every trial fails at 10 dB
+        fail = {(1, 0.0), (2, 0.0), (0, 10.0), (1, 10.0), (2, 10.0)}
+        snr_of = {ia.snr_to_power(s): s for s in grid}
+        real = evaluate.construct_beamformers
+
+        def flaky(channels, dof, powers, opts=None, rng=None):
+            if (rng.stream_index - trials, snr_of[powers.p_beta[0]]) in fail:
+                raise ia.SingularSystemError("forced failure")
+            return real(channels, dof, powers, opts, rng=rng)
+
+        monkeypatch.setattr(evaluate, "construct_beamformers", flaky)
+        monkeypatch.setattr(oracles, "construct_beamformers", flaky)
+        got = ia.monte_carlo_sweep(cfg, dof, grid, trials, SWEEP_OPTS, seed=2)
+        want = per_point_sweep(cfg, dof, grid, trials, SWEEP_OPTS, seed=2)
+        assert got.trials_ok == want.trials_ok == (1, 0, 3)
+        assert got.trials_failed == want.trials_failed == (2, 3, 0)
+        assert sweep_bytes(got, [0, 2]) == sweep_bytes(want, [0, 2])
+        assert math.isnan(got.mean_sum_rate[1])
+        assert all(math.isnan(v) for v in got.mean_alpha[1] + got.mean_beta[1])
+        # the baseline does not depend on the alignment, so it never fails
+        assert got.baseline_single_cell == want.baseline_single_cell
+        assert got.baseline_single_cell[1] > 0
+
+    def test_each_trial_drawn_and_baselined_once(self, monkeypatch):
+        cfg = NetworkConfig(4, (3, 3), 6, (2, 2))
+        dof = DofAllocation((2, 2), (1, 1))
+        draws, builds = [], []
+        sample, links = evaluate.sample_channels, evaluate._single_cell_links
+        monkeypatch.setattr(evaluate, "sample_channels",
+                            lambda config, rng: draws.append(rng) or sample(config, rng))
+        monkeypatch.setattr(evaluate, "_single_cell_links",
+                            lambda ch, config: builds.append(ch) or links(ch, config))
+        ia.monte_carlo_sweep(cfg, dof, [0.0, 10.0, 20.0], trials=2,
+                             opts=IterationOptions(max_iters=20), seed=4)
+        assert draws == [RngStream(4, 0), RngStream(4, 1)]
+        assert len(builds) == 2

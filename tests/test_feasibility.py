@@ -376,9 +376,11 @@ class TestSearch:
             ia.search_max_sum_dof(cfg, "necessary", budget=1000)
 
     def test_mode_names(self):
-        assert ia.search_max_sum_dof(EX1, "necessary-bound").d_sum == 13
-        with pytest.raises(ConfigError):
-            ia.search_max_sum_dof(EX1, "bogus")
+        assert ia.search_max_sum_dof(EX1, "necessary").d_sum == 13
+        for mode in ("bogus", "necessary-bound", "sufficient-certified",
+                     "Sufficient_Certified", "NECESSARY", " sufficient", None):
+            with pytest.raises(ConfigError, match="unknown search mode"):
+                ia.search_max_sum_dof(EX1, mode)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_certified_never_exceeds_bound(self, seed):

@@ -74,6 +74,24 @@ def test_alignment_loop_matches_per_user_reference(seed):
     assert got[4:] == want[4:]
 
 
+def test_alignment_loop_grows_its_records_bit_for_bit():
+    # an infeasible allocation plateaus, so the loop runs past the first
+    # 1024-iteration leakage buffer and has to grow it
+    rng = np.random.default_rng(3)
+    g_cross = [[rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                for _ in range(2)] for _ in range(2)]
+    u0 = tuple(np.linalg.qr(rng.standard_normal((3, 3))
+                            + 1j * rng.standard_normal((3, 3)))[0][:, :2]
+               for _ in range(2))
+    args = (g_cross, [3, 3], [3, 3], [2, 2], [2, 2], [1.0, 2.0], [1.5, 0.5],
+            u0, 1500, 1e-300)
+    got = _kernels.alignment_loop(*args)
+    want = per_user_alignment_loop(*args)
+    assert got[4:] == want[4:] == (1500, False)
+    for a, b in zip(got[2:4], want[2:4]):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestFixColumnPhases:
     def test_phase_convention(self):
         rng = np.random.default_rng(0)
@@ -106,14 +124,20 @@ class TestFixColumnPhases:
             assert got.tobytes() == _kernels.fix_column_phases(mat).tobytes()
 
 
-def test_benchmark_tracer_reads_alignment_loop(monkeypatch):
+@pytest.fixture
+def spans(monkeypatch):
+    """The benchmark's tracer module, perfbench/spans.py."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..",
+                                             "perfbench"))
+    import spans
+    return spans
+
+
+def test_benchmark_tracer_reads_alignment_loop(spans):
     # perfbench/spans.py reads arguments 1-4 (user antennas and streams) and
     # output 4 (iterations run) of the alignment loop to count its FLOPs, and
     # the benchmark calls residual_report(channels, bf, dof) and
     # sum_rate(channels, bf, powers) through the package namespace
-    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..",
-                                             "perfbench"))
-    import spans
     cfg = ia.NetworkConfig(4, (3, 3), 6, (2, 2))
     dof = ia.DofAllocation((2, 2), (1, 1))
     powers = ia.power_profile_for_snr(cfg, 20.0)
@@ -136,6 +160,27 @@ def test_benchmark_tracer_reads_alignment_loop(monkeypatch):
     assert totals["beamform.residual_report"]["calls"] == 1
     assert "margin_ok" in totals["beamform.residual_report"]
     assert totals["evaluate.sum_rate"]["calls"] == 1
+
+
+def test_benchmark_tracer_reads_sweep(spans):
+    # the benchmark's view of a 2-trial, 2-point sweep: one draw per trial,
+    # one construction and one rating per (trial, SNR) point
+    cfg = ia.NetworkConfig(4, (3, 3), 6, (2, 2))
+    dof = ia.DofAllocation((2, 2), (1, 1))
+    tracer = spans.Tracer()
+    tracer.install(ia)
+    try:
+        tracer.op = 0
+        ia.monte_carlo_sweep(cfg, dof, [0.0, 20.0], 2, ia.IterationOptions(max_iters=3))
+        tracer.op = None
+    finally:
+        left = tracer.restore(ia)
+    assert left == []
+    calls = {name: row["calls"] for name, row in spans.layer_totals(tracer.spans).items()}
+    assert calls["evaluate.monte_carlo_sweep"] == 1
+    assert calls["model.sample_channels"] == 2
+    assert calls["beamform.construct_beamformers"] == 4
+    assert calls["evaluate.sum_rate"] == 4
 
 
 def test_backend_is_reported():
