@@ -14,8 +14,7 @@ from .errors import (BudgetError, ConfigError, IaRtddError, MatchingError,
 from .evaluate import (RateBreakdown, SweepResult, baseline_point_to_point,
                        baseline_single_cell, monte_carlo_sweep,
                        power_profile_for_snr, snr_to_power, sum_rate)
-from .feasibility import (AlignmentMatrixLayout, ConditionResult,
-                          FeasibilityReport, HallGraph, HallResult,
+from .feasibility import (ConditionResult, FeasibilityReport, HallResult,
                           SearchResult, build_alignment_matrix,
                           check_necessary, check_sufficient,
                           check_symmetric_sufficient,
@@ -23,8 +22,7 @@ from .feasibility import (AlignmentMatrixLayout, ConditionResult,
                           dual_config, hall_condition, numeric_rank,
                           search_max_sum_dof, search_optimal, single_cell_dof,
                           two_user_ic_dof)
-from .model import (ChannelSet, CrossBlockPartition, DofAllocation,
-                    NetworkConfig, RngStream, partition_cross,
+from .model import (ChannelSet, DofAllocation, NetworkConfig, RngStream,
                     sample_channels, validate_config)
 
 __version__ = "0.1.0"

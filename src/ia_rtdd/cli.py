@@ -45,8 +45,11 @@ def _round_floats(obj):
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise IaRtddError(f"could not write {out_path}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -57,12 +60,14 @@ def _emit_json(data, out_path):
 
 def _load_config(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
         raise IaRtddError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise IaRtddError(f"config file {path} is not valid JSON: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IaRtddError(f"could not read config file {path}: {exc}")
     return NetworkConfig.from_dict(data)
 
 
@@ -149,7 +154,6 @@ def _cmd_search(args):
         result = feasibility.search_max_sum_dof(config, args.mode, args.trials,
                                                 rng, subset_limit=limit)
         data = result.to_dict()
-        data["d_sum"] = result.d_sum
         d_sum = result.d_sum
     else:
         both = feasibility.search_optimal(config, args.trials, rng,

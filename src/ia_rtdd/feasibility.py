@@ -18,15 +18,15 @@ the best one passing the selected decider.  User indices in witnesses are
 1-based to match the (alpha, k) / (beta, l) labeling used everywhere else.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import accumulate, chain
 
 import numpy as np
 
 from . import _kernels
 from .errors import BudgetError, ConfigError, MatchingError, SubsetLimitError
 from .model import (ChannelSet, DofAllocation, NetworkConfig, RngStream,
-                    partition_cross, sample_channels, validate_config,
-                    validate_trials)
+                    _as_int, sample_channels, validate_config, validate_trials)
 
 DEFAULT_SUBSET_LIMIT = 20
 DEFAULT_SEARCH_BUDGET = 2_000_000
@@ -140,93 +140,51 @@ def dual_allocation(dof):
 # alignment coefficient matrix
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AlignmentMatrixLayout:
-    """Row/column bookkeeping of the alignment coefficient matrix.
+def _alignment_offsets(config, dof):
+    """Block start offsets ``(rows, cols)`` of the alignment coefficient
+    matrix, each ending in the matrix dimension.
 
-    Rows come in (k, l) blocks of d_alpha_k * d_beta_l equations, k-major;
-    within a block, equation (m, n) sits at row m * d_beta_l + n (0-based).
-    Columns hold the K receive-filter variable blocks of width
-    d_alpha_k * (N_alpha_k - d_alpha_k) followed by the L transmit-filter
-    blocks of width d_beta_l * (N_beta_l - d_beta_l).
+    ``rows[k * L + l]`` starts the (k, l) block of d_alpha_k * d_beta_l
+    equations, k-major; ``cols[k]`` starts the receive-filter block of user
+    (alpha, k) and ``cols[K + l]`` the transmit-filter block of user (beta, l).
     """
-
-    d_alpha: tuple
-    d_beta: tuple
-    n_alpha: tuple
-    n_beta: tuple
-    row_offsets: tuple = field(init=False)
-    col_offsets_alpha: tuple = field(init=False)
-    col_offsets_beta: tuple = field(init=False)
-    n_rows: int = field(init=False)
-    n_cols: int = field(init=False)
-
-    def __post_init__(self):
-        rows = []
-        off = 0
-        for da in self.d_alpha:
-            per_k = []
-            for db in self.d_beta:
-                per_k.append(off)
-                off += da * db
-            rows.append(tuple(per_k))
-        object.__setattr__(self, "row_offsets", tuple(rows))
-        object.__setattr__(self, "n_rows", off)
-        offs_a = []
-        off = 0
-        for da, na in zip(self.d_alpha, self.n_alpha):
-            offs_a.append(off)
-            off += da * (na - da)
-        offs_b = []
-        for db, nb in zip(self.d_beta, self.n_beta):
-            offs_b.append(off)
-            off += db * (nb - db)
-        object.__setattr__(self, "col_offsets_alpha", tuple(offs_a))
-        object.__setattr__(self, "col_offsets_beta", tuple(offs_b))
-        object.__setattr__(self, "n_cols", off)
-
-    def row_index(self, k, l, m, n):
-        """0-based row of equation (m, n) in block (k, l)."""
-        return self.row_offsets[k][l] + m * self.d_beta[l] + n
-
-    def col_block_alpha(self, k):
-        da, na = self.d_alpha[k], self.n_alpha[k]
-        return self.col_offsets_alpha[k], da * (na - da)
-
-    def col_block_beta(self, l):
-        db, nb = self.d_beta[l], self.n_beta[l]
-        return self.col_offsets_beta[l], db * (nb - db)
+    rows = accumulate((da * db for da in dof.d_alpha for db in dof.d_beta),
+                      initial=0)
+    free = chain(zip(dof.d_alpha, config.n_alpha), zip(dof.d_beta, config.n_beta))
+    cols = accumulate((d * (n - d) for d, n in free), initial=0)
+    return tuple(rows), tuple(cols)
 
 
 def build_alignment_matrix(channels, dof):
     """Assemble the alignment coefficient matrix from the cross channels.
 
-    Block row (k, l) carries the linearized zero-interference equations for
-    the (k, l) cross link: its receive-filter columns replicate the lower
-    left partition block g3 (transposed, once per stream of user (alpha, k))
-    and its transmit-filter columns replicate the rows of the upper right
-    block g2 (once per stream of user (beta, l)).
-
-    Returns ``(matrix, layout)``.
+    It is the Jacobian of the cross-link residuals ``U_k^H G_kl V_l`` at the
+    filters ``U_k = [I; X_k^H]``, ``V_l = [I; Y_l]`` with ``X = Y = 0``.
+    Rows come in (k, l) blocks of d_alpha_k * d_beta_l equations, k-major;
+    within a block, equation (m, n) sits at row m * d_beta_l + n (0-based).
+    Columns hold the K receive-filter blocks, entry (m, j) of X_k at column
+    m * (N_alpha_k - d_alpha_k) + j, followed by the L transmit-filter
+    blocks, entry (i, n) of Y_l at column n * (N_beta_l - d_beta_l) + i.
+    Block (k, l) reads only the off-corner blocks of G_kl: the lower left
+    ``G_kl[d_alpha_k:, :d_beta_l]`` (transposed, once per stream of user
+    (alpha, k)) and the upper right ``G_kl[:d_alpha_k, d_beta_l:]`` (each
+    row once per stream of user (beta, l)).
     """
     config, _ = validate_config(channels.config, dof)
-    d_a, d_b = dof.d_alpha, dof.d_beta
-    layout = AlignmentMatrixLayout(d_a, d_b, config.n_alpha, config.n_beta)
-    mat = np.zeros((layout.n_rows, layout.n_cols), dtype=np.complex128)
-    for k, da in enumerate(d_a):
-        for l, db in enumerate(d_b):
-            if da == 0 or db == 0:
-                continue
-            part = partition_cross(channels.g_cross[k][l], da, db)
-            r0 = layout.row_offsets[k][l]
-            ca, wa = layout.col_block_alpha(k)
-            if wa:
-                mat[r0:r0 + da * db, ca:ca + wa] = np.kron(np.eye(da), part.g3.T)
-            cb, wb = layout.col_block_beta(l)
-            if wb:
-                blocks = [np.kron(np.eye(db), part.g2[m:m + 1, :]) for m in range(da)]
-                mat[r0:r0 + da * db, cb:cb + wb] = np.vstack(blocks)
-    return mat, layout
+    rows, cols = _alignment_offsets(config, dof)
+    num_alpha, num_beta = config.num_alpha, config.num_beta
+    mat = np.zeros((rows[-1], cols[-1]), dtype=np.complex128)
+    for k, da in enumerate(dof.d_alpha):
+        for l, db in enumerate(dof.d_beta):
+            g = channels.g_cross[k][l]
+            r0 = rows[k * num_beta + l]
+            block = mat[r0:r0 + da * db]
+            block[:, cols[k]:cols[k + 1]] = np.kron(np.eye(da), g[da:, :db].T)
+            upper = g[:da, db:]
+            block[:, cols[num_alpha + l]:cols[num_alpha + l + 1]] = (
+                np.eye(db)[:, :, None] * upper[:, None, None, :]
+            ).reshape(da * db, db * upper.shape[1])
+    return mat
 
 
 def numeric_rank(a):
@@ -256,15 +214,15 @@ def check_sufficient(config, dof, trials=DEFAULT_RANK_TRIALS, rng=None):
     conditions = _budget_conditions(config, dof)
     if not all(c.passed for c in conditions):
         return _make_report(conditions)
-    layout = AlignmentMatrixLayout(dof.d_alpha, dof.d_beta,
-                                   config.n_alpha, config.n_beta)
-    witness = {"rows": layout.n_rows, "cols": layout.n_cols}
-    if layout.n_rows == 0:
+    rows, cols = _alignment_offsets(config, dof)
+    n_rows, n_cols = rows[-1], cols[-1]
+    witness = {"rows": n_rows, "cols": n_cols}
+    if n_rows == 0:
         witness.update({"ranks": [], "full_rank_trials": 0, "trials": 0,
                         "vacuous": True})
         conditions.append(ConditionResult("rank", True, witness))
         return _make_report(conditions)
-    if layout.n_rows > layout.n_cols:
+    if n_rows > n_cols:
         witness.update({"ranks": [], "full_rank_trials": 0, "trials": 0,
                         "structurally_impossible": True})
         conditions.append(ConditionResult("rank", False, witness))
@@ -272,9 +230,8 @@ def check_sufficient(config, dof, trials=DEFAULT_RANK_TRIALS, rng=None):
     ranks = []
     for t in range(trials):
         channels = sample_channels(config, rng.shifted(t))
-        mat, _ = build_alignment_matrix(channels, dof)
-        ranks.append(numeric_rank(mat))
-    full = sum(1 for r in ranks if r == layout.n_rows)
+        ranks.append(numeric_rank(build_alignment_matrix(channels, dof)))
+    full = sum(1 for r in ranks if r == n_rows)
     witness.update({"ranks": ranks, "full_rank_trials": full, "trials": trials})
     conditions.append(ConditionResult("rank", 2 * full > trials, witness))
     return _make_report(conditions)
@@ -286,7 +243,7 @@ def check_sufficient(config, dof, trials=DEFAULT_RANK_TRIALS, rng=None):
 
 def _expand_symmetric(config, d_alpha, d_beta):
     """The per-cell stream counts as ints, and their per-user allocation."""
-    d_alpha, d_beta = int(d_alpha), int(d_beta)
+    d_alpha, d_beta = _as_int(d_alpha, "d_alpha"), _as_int(d_beta, "d_beta")
     if d_alpha < 1 or d_beta < 1:
         raise ConfigError("symmetric stream counts must be >= 1")
     return d_alpha, d_beta, DofAllocation((d_alpha,) * config.num_alpha,
@@ -334,37 +291,35 @@ def check_symmetric_sufficient(config, d_alpha, d_beta, subset_limit=None):
 
 
 @dataclass(frozen=True)
-class HallGraph:
-    """Bipartite block-dependency graph used by the symmetric matching test.
+class HallResult:
+    """Outcome of `hall_condition`.
 
-    Left vertices are the K*L cross-link pairs; right vertices are the spare
-    receive-filter blocks ("alpha", k, i) with i < a_counts[k] and the spare
-    transmit-filter blocks ("beta", l, j) with j < b_counts[l].  Pair (k, l)
-    is adjacent to every right vertex of user k or user l.
+    ``matching`` maps each cross-link pair (k, l) to its spare block,
+    ("alpha", k, i) or ("beta", l, j), or is None when the test fails.
+    ``a_counts[k]`` is the number of spare receive-filter blocks of user
+    (alpha, k), ``b_counts[l]`` that of spare transmit-filter blocks of user
+    (beta, l).
     """
 
-    num_alpha: int
-    num_beta: int
+    passed: bool
+    matching: dict | None
     a_counts: tuple
     b_counts: tuple
 
-    def left_vertices(self):
-        return [(k, l) for k in range(self.num_alpha) for l in range(self.num_beta)]
 
-    def neighbors(self, k, l):
-        out = [("alpha", k, i) for i in range(self.a_counts[k])]
-        out += [("beta", l, j) for j in range(self.b_counts[l])]
-        return out
+def hall_condition(config, d_alpha, d_beta):
+    """Decide whether every cross-link pair can claim its own variable block.
 
-
-@dataclass(frozen=True)
-class HallResult:
-    passed: bool
-    matching: dict | None
-    graph: HallGraph
-
-
-def _hall_graph(config, d_alpha, d_beta):
+    Runs augmenting-path maximum matching on the block-dependency graph, in
+    which pair (k, l) is adjacent to every spare block of user (alpha, k) and
+    of user (beta, l), and passes iff the matching saturates all K*L pairs;
+    the matching itself is returned as the witness.  Pairs are processed in
+    (k, l) order and spare blocks alpha-first, so the witness is
+    deterministic.  Raises `ConfigError` unless every leftover dimension
+    N - d divides into blocks of the other cell's stream count.
+    """
+    d_alpha, d_beta, dof = _expand_symmetric(config, d_alpha, d_beta)
+    validate_config(config, dof)
     bad = _divisibility_failure(config, d_alpha, d_beta)
     if bad is not None:
         own = d_alpha if bad["side"] == "alpha" else d_beta
@@ -373,40 +328,25 @@ def _hall_graph(config, d_alpha, d_beta):
             f"divisible by {bad['divisor']}")
     a_counts = tuple((n - d_alpha) // d_beta for n in config.n_alpha)
     b_counts = tuple((n - d_beta) // d_alpha for n in config.n_beta)
-    return HallGraph(config.num_alpha, config.num_beta, a_counts, b_counts)
-
-
-def hall_condition(config, d_alpha, d_beta):
-    """Decide whether every cross-link pair can claim its own variable block.
-
-    Runs augmenting-path maximum matching on the block-dependency graph and
-    passes iff the matching saturates all K*L left vertices; the matching
-    itself is returned as the witness.  Left vertices are processed in
-    (k, l) order and neighbors alpha-first, so the witness is deterministic.
-    """
-    d_alpha, d_beta, dof = _expand_symmetric(config, d_alpha, d_beta)
-    validate_config(config, dof)
-    graph = _hall_graph(config, d_alpha, d_beta)
     owner = {}
 
-    def try_assign(left, seen):
-        for right in graph.neighbors(*left):
-            if right in seen:
+    def try_assign(pair, seen):
+        k, l = pair
+        spares = [("alpha", k, i) for i in range(a_counts[k])]
+        spares += [("beta", l, j) for j in range(b_counts[l])]
+        for spare in spares:
+            if spare in seen:
                 continue
-            seen.add(right)
-            if right not in owner or try_assign(owner[right], seen):
-                owner[right] = left
+            seen.add(spare)
+            if spare not in owner or try_assign(owner[spare], seen):
+                owner[spare] = pair
                 return True
         return False
 
-    matched = 0
-    for left in graph.left_vertices():
-        if try_assign(left, set()):
-            matched += 1
-    if matched == graph.num_alpha * graph.num_beta:
-        matching = {left: right for right, left in owner.items()}
-        return HallResult(True, matching, graph)
-    return HallResult(False, None, graph)
+    pairs = [(k, l) for k in range(config.num_alpha) for l in range(config.num_beta)]
+    passed = all(try_assign(pair, set()) for pair in pairs)
+    matching = {pair: spare for spare, pair in owner.items()} if passed else None
+    return HallResult(passed, matching, a_counts, b_counts)
 
 
 def construct_special_realization(config, d_alpha, d_beta):
@@ -427,7 +367,6 @@ def construct_special_realization(config, d_alpha, d_beta):
     if not result.passed:
         raise MatchingError(
             "no complete matching of cross links to spare variable blocks")
-    graph = result.graph
     cross = []
     for k, na in enumerate(config.n_alpha):
         row = []
@@ -451,10 +390,10 @@ def construct_special_realization(config, d_alpha, d_beta):
             if np.any(g[:d_alpha, :d_beta]):
                 raise MatchingError("corner block not zero in special realization")
             nonzero = 0
-            for i in range(graph.a_counts[k]):
+            for i in range(result.a_counts[k]):
                 if np.any(g[d_alpha + i * d_beta:d_alpha + (i + 1) * d_beta, :d_beta]):
                     nonzero += 1
-            for j in range(graph.b_counts[l]):
+            for j in range(result.b_counts[l]):
                 if np.any(g[:d_alpha, d_beta + j * d_alpha:d_beta + (j + 1) * d_alpha]):
                     nonzero += 1
             if nonzero != 1:

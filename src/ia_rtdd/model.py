@@ -1,4 +1,4 @@
-"""Network/stream configuration types, channel sampling, and cross-link block partition.
+"""Network/stream configuration types and channel sampling.
 
 Conventions used throughout the package:
 
@@ -285,35 +285,3 @@ def sample_channels(config, rng):
     g_bs = _freeze(complex_gaussian(g, config.m_beta, config.m_alpha))
     return ChannelSet(h_alpha, g_cross, h_beta, g_bs)
 
-
-@dataclass(frozen=True)
-class CrossBlockPartition:
-    """Four-block split of a cross channel at the (d_row, d_col) corner.
-
-    ``g1`` is d_row x d_col, ``g2`` d_row x (cols-d_col), ``g3``
-    (rows-d_row) x d_col, ``g4`` the remainder; stacking [[g1 g2], [g3 g4]]
-    reproduces the input exactly.
-    """
-
-    g1: np.ndarray
-    g2: np.ndarray
-    g3: np.ndarray
-    g4: np.ndarray
-
-    def assemble(self):
-        return np.block([[self.g1, self.g2], [self.g3, self.g4]])
-
-
-def partition_cross(g, d_row, d_col):
-    """Split a cross channel into the four corner blocks; lossless, views only."""
-    rows, cols = g.shape
-    if not 0 <= d_row <= rows:
-        raise ConfigError(f"row split {d_row} out of range for {rows} rows")
-    if not 0 <= d_col <= cols:
-        raise ConfigError(f"column split {d_col} out of range for {cols} columns")
-    return CrossBlockPartition(
-        g1=g[:d_row, :d_col],
-        g2=g[:d_row, d_col:],
-        g3=g[d_row:, :d_col],
-        g4=g[d_row:, d_col:],
-    )

@@ -72,6 +72,44 @@ def brute_symmetric_counting(config, d_alpha, d_beta):
     return True
 
 
+def per_block_alignment_matrix(channels, d_alpha, d_beta):
+    """Alignment coefficient matrix assembled one stream at a time.
+
+    Row block (k, l) takes ``kron(I, G[d_a:, :d_b].T)`` in the receive-filter
+    columns of user (alpha, k) and, stacked once per stream m of that user,
+    ``kron(I, G[m, d_b:])`` in the transmit-filter columns of user (beta, l).
+    """
+    n_alpha = [row[0].shape[0] for row in channels.g_cross]
+    n_beta = [g.shape[1] for g in channels.g_cross[0]]
+    row_off, off = {}, 0
+    for k, da in enumerate(d_alpha):
+        for l, db in enumerate(d_beta):
+            row_off[k, l] = off
+            off += da * db
+    col_a, col_b, cols = [], [], 0
+    for da, na in zip(d_alpha, n_alpha):
+        col_a.append(cols)
+        cols += da * (na - da)
+    for db, nb in zip(d_beta, n_beta):
+        col_b.append(cols)
+        cols += db * (nb - db)
+    mat = np.zeros((off, cols), dtype=np.complex128)
+    for k, (da, na) in enumerate(zip(d_alpha, n_alpha)):
+        for l, (db, nb) in enumerate(zip(d_beta, n_beta)):
+            if da == 0 or db == 0:
+                continue
+            g = channels.g_cross[k][l]
+            r0 = row_off[k, l]
+            wa, wb = da * (na - da), db * (nb - db)
+            if wa:
+                mat[r0:r0 + da * db, col_a[k]:col_a[k] + wa] = \
+                    np.kron(np.eye(da), g[da:, :db].T)
+            if wb:
+                stack = [np.kron(np.eye(db), g[m:m + 1, db:]) for m in range(da)]
+                mat[r0:r0 + da * db, col_b[l]:col_b[l] + wb] = np.vstack(stack)
+    return mat
+
+
 def channel_scale(channels):
     """Mean Frobenius norm over every matrix in the channel set."""
     mats = list(channels.h_alpha)

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ia_rtdd as ia
+from ia_rtdd import cli
 from ia_rtdd.cli import main, parse_snr_grid
 from ia_rtdd.errors import IaRtddError
 
@@ -142,7 +143,7 @@ def test_simulate_sumrate_json_mirror(small_config, capsys):
     assert data["rows"][0]["trials_ok"] == 1
 
 
-def test_input_errors_exit_2(small_config, tmp_path, capsys):
+def test_input_errors_exit_2(small_config, tmp_path, capsys, monkeypatch):
     assert main(["check", "--config", str(tmp_path / "missing.json"),
                  "--dof", "1;1"]) == 2
     assert main(["check", "--config", small_config, "--dof", "1,1"]) == 2
@@ -175,6 +176,23 @@ def test_input_errors_exit_2(small_config, tmp_path, capsys):
     assert main(["construct", "--config", small_config, "--dof", "1,1;1,1",
                  "--seed", "-1"]) == 2
     assert "seed must be >= 0" in capsys.readouterr().err
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"M_alpha": 4, "N_alpha": [3, 3], "M_beta": 6, '
+                       b'"N_beta": [2, 2], "note": "\xe9"}')
+    for config in (str(tmp_path), str(latin1)):
+        assert main(["check", "--config", config, "--dof", "1,1;1,1"]) == 2
+    assert capsys.readouterr().err.count("could not read config file") == 2
+    assert main(["search", "--config", small_config,
+                 "--out", str(tmp_path / "missing" / "out.json")]) == 2
+    assert "could not write" in capsys.readouterr().err
+
+    # permission bits do not stop a superuser, so an unreadable file is simulated
+    def denied(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "open", denied, raising=False)
+    assert main(["check", "--config", small_config, "--dof", "1,1;1,1"]) == 2
+    assert "Permission denied" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2(small_config):

@@ -9,7 +9,8 @@ import ia_rtdd as ia
 from ia_rtdd import (BudgetError, ConfigError, DofAllocation, MatchingError,
                      NetworkConfig, RngStream, SubsetLimitError, _kernels)
 
-from oracles import brute_necessary, brute_symmetric_counting
+from oracles import (brute_necessary, brute_symmetric_counting,
+                     per_block_alignment_matrix)
 
 EX1 = NetworkConfig(10, (4, 6, 6), 13, (3, 6))
 EX2 = NetworkConfig(8, (2, 3, 8), 12, (3, 7))
@@ -106,40 +107,93 @@ class TestNecessary:
         assert not ia.check_necessary(cfg, DofAllocation(da, db)).verdict
 
 
+def _layout(cfg, dof):
+    """Row and column indices of the alignment matrix, straight from the
+    layout that `build_alignment_matrix` documents."""
+    rows, off = {}, 0
+    for k, da in enumerate(dof.d_alpha):
+        for l, db in enumerate(dof.d_beta):
+            for m in range(da):
+                for n in range(db):
+                    rows[k, l, m, n] = off + m * db + n
+            off += da * db
+    cols_x, cols_y, col = {}, {}, 0
+    for k, (da, na) in enumerate(zip(dof.d_alpha, cfg.n_alpha)):
+        for m in range(da):
+            for j in range(na - da):
+                cols_x[k, m, j] = col + m * (na - da) + j
+        col += da * (na - da)
+    for l, (db, nb) in enumerate(zip(dof.d_beta, cfg.n_beta)):
+        for n in range(db):
+            for i in range(nb - db):
+                cols_y[l, i, n] = col + n * (nb - db) + i
+        col += db * (nb - db)
+    return rows, cols_x, cols_y, (off, col)
+
+
+# Irregular networks the per-block reference must agree with: a zero-stream
+# user, no free variables at all, a silent downlink cell, a silent uplink
+# cell and an allocation with no equations.
+_IRREGULAR_CASES = [
+    (NetworkConfig(9, (4, 2, 5), 9, (3, 6)), "0,2,3;2,4"),
+    (NetworkConfig(9, (2, 3), 9, (4,)), "2,3;4"),
+    (NetworkConfig(9, (3, 4), 9, (2, 5, 1)), "0,0;1,3,1"),
+    (NetworkConfig(9, (3, 4, 2), 9, (5,)), "2,1,1;0"),
+    (NetworkConfig(9, (3,), 9, (3,)), "0;0"),
+]
+
+
 class TestAlignmentMatrix:
     def test_simulation_network_is_square_72(self):
         ch = ia.sample_channels(SIM, RngStream(0, 0))
-        mat, layout = ia.build_alignment_matrix(ch, DofAllocation((3, 3, 3, 3), (2, 2, 2)))
+        mat = ia.build_alignment_matrix(ch, DofAllocation((3, 3, 3, 3), (2, 2, 2)))
         assert mat.shape == (72, 72)
-        assert layout.n_rows == 72 and layout.n_cols == 72
 
     def test_minimal_network_is_1x2(self):
         cfg = NetworkConfig(2, (2,), 2, (2,))
         ch = ia.sample_channels(cfg, RngStream(0, 0))
-        mat, _ = ia.build_alignment_matrix(ch, DofAllocation((1,), (1,)))
+        mat = ia.build_alignment_matrix(ch, DofAllocation((1,), (1,)))
         assert mat.shape == (1, 2)
 
     def test_no_free_variables_means_zero_columns(self):
         cfg = NetworkConfig(9, (2, 3), 9, (4,))
         ch = ia.sample_channels(cfg, RngStream(0, 0))
-        mat, _ = ia.build_alignment_matrix(ch, DofAllocation((2, 3), (4,)))
+        mat = ia.build_alignment_matrix(ch, DofAllocation((2, 3), (4,)))
         assert mat.shape == (20, 0)
 
     def test_every_entry_comes_from_a_partition_block(self):
-        # structure audit: nonzeros of the matrix match g2/g3 entries of some link
+        # structure audit: nonzeros of the matrix match entries of the upper
+        # right or lower left block of some cross link
         rng = np.random.default_rng(5)
         cfg = random_small_config(rng)
         dof = random_allocation(rng, cfg)
         ch = ia.sample_channels(cfg, RngStream(5, 0))
-        mat, _ = ia.build_alignment_matrix(ch, dof)
+        mat = ia.build_alignment_matrix(ch, dof)
         pool = set()
-        for k in range(cfg.num_alpha):
-            for l in range(cfg.num_beta):
-                part = ia.partition_cross(ch.g_cross[k][l], dof.d_alpha[k], dof.d_beta[l])
-                pool.update(part.g2.ravel().tolist())
-                pool.update(part.g3.ravel().tolist())
+        for k, da in enumerate(dof.d_alpha):
+            for l, db in enumerate(dof.d_beta):
+                g = ch.g_cross[k][l]
+                pool.update(g[:da, db:].ravel().tolist())
+                pool.update(g[da:, :db].ravel().tolist())
         for value in mat[mat != 0]:
             assert value in pool
+
+    @pytest.mark.parametrize("case", range(50 + len(_IRREGULAR_CASES)))
+    def test_matches_per_block_reference(self, case):
+        # byte equality with the stream-by-stream kron/vstack assembly on
+        # irregular networks of 1-4 users per cell and 1-9 antennas per user
+        if case < 50:
+            rng = np.random.default_rng(6000 + case)
+            cfg = random_small_config(rng, max_users=4, max_antennas=9)
+            dof = random_allocation(rng, cfg)
+        else:
+            cfg, text = _IRREGULAR_CASES[case - 50]
+            dof = DofAllocation.parse(text)
+        ch = ia.sample_channels(cfg, RngStream(case, 0))
+        got = ia.build_alignment_matrix(ch, dof)
+        want = per_block_alignment_matrix(ch, dof.d_alpha, dof.d_beta)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_finite_difference_jacobian(self, seed):
@@ -149,8 +203,10 @@ class TestAlignmentMatrix:
         cfg = random_small_config(rng, max_users=2, max_antennas=5)
         dof = random_allocation(rng, cfg)
         ch = ia.sample_channels(cfg, RngStream(1000 + seed, 0))
-        mat, lay = ia.build_alignment_matrix(ch, dof)
-        if lay.n_rows == 0 or lay.n_cols == 0:
+        mat = ia.build_alignment_matrix(ch, dof)
+        rows, cols_x, cols_y, shape = _layout(cfg, dof)
+        assert mat.shape == shape
+        if 0 in shape:
             return
         xs = [np.zeros((d, n - d), dtype=complex)
               for d, n in zip(dof.d_alpha, cfg.n_alpha)]
@@ -158,38 +214,27 @@ class TestAlignmentMatrix:
               for d, n in zip(dof.d_beta, cfg.n_beta)]
 
         def residual():
-            out = np.zeros(lay.n_rows, dtype=complex)
+            out = np.zeros(shape[0], dtype=complex)
             for k in range(cfg.num_alpha):
-                da = dof.d_alpha[k]
-                u = np.vstack([np.eye(da), xs[k].conj().T])
+                u = np.vstack([np.eye(dof.d_alpha[k]), xs[k].conj().T])
                 for l in range(cfg.num_beta):
-                    db = dof.d_beta[l]
-                    v = np.vstack([np.eye(db), ys[l]])
+                    v = np.vstack([np.eye(dof.d_beta[l]), ys[l]])
                     r = u.conj().T @ ch.g_cross[k][l] @ v
-                    for m in range(da):
-                        for n in range(db):
-                            out[lay.row_index(k, l, m, n)] = r[m, n]
+                    for (m, n), value in np.ndenumerate(r):
+                        out[rows[k, l, m, n]] = value
             return out
 
         eps = 1e-7
         base = residual()
-        jac = np.zeros((lay.n_rows, lay.n_cols), dtype=complex)
-        for k in range(cfg.num_alpha):
-            da, na = dof.d_alpha[k], cfg.n_alpha[k]
-            for m in range(da):
-                for j in range(na - da):
-                    xs[k][m, j] = eps
-                    col = lay.col_offsets_alpha[k] + m * (na - da) + j
-                    jac[:, col] = (residual() - base) / eps
-                    xs[k][m, j] = 0
-        for l in range(cfg.num_beta):
-            db, nb = dof.d_beta[l], cfg.n_beta[l]
-            for n in range(db):
-                for i in range(nb - db):
-                    ys[l][i, n] = eps
-                    col = lay.col_offsets_beta[l] + n * (nb - db) + i
-                    jac[:, col] = (residual() - base) / eps
-                    ys[l][i, n] = 0
+        jac = np.zeros(shape, dtype=complex)
+        for (k, m, j), col in cols_x.items():
+            xs[k][m, j] = eps
+            jac[:, col] = (residual() - base) / eps
+            xs[k][m, j] = 0
+        for (l, i, n), col in cols_y.items():
+            ys[l][i, n] = eps
+            jac[:, col] = (residual() - base) / eps
+            ys[l][i, n] = 0
         assert np.abs(mat - jac).max() < 1e-6
 
 
@@ -251,6 +296,16 @@ class TestSymmetric:
         report = ia.check_symmetric_sufficient(EX4, 1, 1)
         assert report.verdict
 
+    def test_non_integral_counts_rejected(self):
+        # 4.7 must not run as 4, nor True as 1
+        for d_a, d_b in ((4.7, 2), (4, 2.2), (True, 1), (1, False), ("4", 2)):
+            with pytest.raises(ConfigError, match="must be an integer"):
+                ia.check_symmetric_sufficient(EX4, d_a, d_b)
+        for call in (ia.hall_condition, ia.construct_special_realization):
+            with pytest.raises(ConfigError, match="must be an integer"):
+                call(EX4, 4.9, 2.2)
+        assert ia.check_symmetric_sufficient(EX4, np.int64(4), 2.0).verdict
+
     def test_symmetric_pass_implies_rank_test_pass(self):
         # probabilistic consistency: expanding a passing symmetric allocation
         # must pass the sampled rank test in at least 95% of cases
@@ -295,10 +350,10 @@ class TestHallAndSpecialRealization:
     def test_example_network_graph(self):
         result = ia.hall_condition(EX4, 4, 2)
         assert result.passed
-        assert result.graph.a_counts == (1, 1, 2)
-        assert result.graph.b_counts == (1, 1)
-        assert len(result.graph.left_vertices()) == 6
-        assert sum(result.graph.a_counts) + sum(result.graph.b_counts) == 6
+        assert result.a_counts == (1, 1, 2)
+        assert result.b_counts == (1, 1)
+        assert sorted(result.matching) == [(k, l) for k in range(3) for l in range(2)]
+        assert sum(result.a_counts) + sum(result.b_counts) == 6
         assert len(set(result.matching.values())) == 6
 
     def test_no_spare_blocks_fails(self):

@@ -162,6 +162,36 @@ def test_benchmark_tracer_reads_alignment_loop(spans):
     assert totals["evaluate.sum_rate"]["calls"] == 1
 
 
+def test_benchmark_tracer_reads_feasibility(spans):
+    # the dof_search workload's view: search_optimal and check_necessary
+    # through the package namespace, and the rank test's draw, build and rank
+    # looked up in the feasibility module
+    cfg = ia.NetworkConfig(4, (3, 3), 6, (2, 2))
+    tracer = spans.Tracer()
+    tracer.install(ia)
+    try:
+        tracer.op = 0
+        result = ia.search_optimal(cfg, trials=1)
+        ia.check_necessary(cfg, ia.DofAllocation((2, 2), (1, 1)))
+        tracer.op = None
+    finally:
+        left = tracer.restore(ia)
+    assert left == []
+    totals = spans.layer_totals(tracer.spans)
+    search = totals["feasibility.search_max_sum_dof"]
+    assert search["calls"] == 2
+    assert search["examined"] == (result["necessary"].examined
+                                  + result["sufficient"].examined)
+    draws = totals["model.sample_channels"]["calls"]
+    assert draws >= 1
+    for name in ("model.sample_channels", "feasibility.build_alignment_matrix",
+                 "feasibility.numeric_rank"):
+        assert spans.child_count(tracer.spans, "feasibility.check_sufficient",
+                                 name) == draws
+    assert totals["kernels.subset_scan"]["calls"] == \
+        totals["feasibility.check_necessary"]["calls"] >= 2
+
+
 def test_benchmark_tracer_reads_sweep(spans):
     # the benchmark's view of a 2-trial, 2-point sweep: one draw per trial,
     # one construction and one rating per (trial, SNR) point

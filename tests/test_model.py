@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from ia_rtdd import (ConfigError, DofAllocation, NetworkConfig, RngStream,
-                     partition_cross, sample_channels, validate_config)
+                     sample_channels, validate_config)
 
 SIM = NetworkConfig(12, (8, 8, 8, 8), 18, (4, 4, 4))
 
@@ -98,42 +98,6 @@ class TestSampling:
         ch = sample_channels(SIM, RngStream(1, 0))
         with pytest.raises(ValueError):
             ch.h_alpha[0][0, 0] = 0
-
-
-class TestPartition:
-    def test_two_by_two(self):
-        g = np.arange(4, dtype=complex).reshape(2, 2)
-        p = partition_cross(g, 1, 1)
-        assert p.g1.shape == p.g2.shape == p.g3.shape == p.g4.shape == (1, 1)
-        assert p.g1[0, 0] == 0 and p.g4[0, 0] == 3
-
-    def test_block_shapes(self):
-        g = np.zeros((8, 4), dtype=complex)
-        p = partition_cross(g, 3, 2)
-        assert p.g1.shape == (3, 2) and p.g2.shape == (3, 2)
-        assert p.g3.shape == (5, 2) and p.g4.shape == (5, 2)
-
-    def test_degenerate_full_rows(self):
-        g = np.ones((3, 2), dtype=complex)
-        p = partition_cross(g, 3, 1)
-        assert p.g3.shape == (0, 1) and p.g4.shape == (0, 1)
-
-    def test_out_of_range(self):
-        g = np.zeros((2, 2), dtype=complex)
-        with pytest.raises(ConfigError):
-            partition_cross(g, 3, 0)
-        with pytest.raises(ConfigError):
-            partition_cross(g, 0, -1)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 6), st.integers(1, 6), st.integers(), st.data())
-    def test_reassembly_is_lossless(self, rows, cols, seed, data):
-        d_row = data.draw(st.integers(0, rows))
-        d_col = data.draw(st.integers(0, cols))
-        rng = np.random.default_rng(abs(seed) % 2**32)
-        g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-        p = partition_cross(g, d_row, d_col)
-        assert np.array_equal(p.assemble(), g)
 
 
 def test_rng_stream_reproducibility():
