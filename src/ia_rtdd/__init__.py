@@ -6,8 +6,9 @@ aligning precoders/postcoders, and Monte-Carlo sum-rate evaluation.
 
 from ._kernels import BACKEND
 from .beamform import (BeamformerSet, IterationOptions, LeakageTrace,
-                       PowerProfile, ResidualReport, construct_beamformers,
-                       init_postcoders, iterate_alignment, normalize,
+                       PowerProfile, ResidualReport, complete_beamformers,
+                       construct_beamformers, init_postcoders,
+                       iterate_alignment, iterate_alignment_batch, normalize,
                        residual_report, zero_force_step2)
 from .errors import (BudgetError, ConfigError, IaRtddError, MatchingError,
                      NumericalError, SingularSystemError, SubsetLimitError)

@@ -22,8 +22,13 @@ def fix_column_phases(mat):
     mat = np.asarray(mat, dtype=np.complex128)
     mags = np.abs(mat)
     tol = _PHASE_TOL * mags.max(axis=-2, keepdims=True)
-    lead = (mags > tol).argmax(axis=-2)[..., None, :]
-    pivot = np.take_along_axis(mat, lead, axis=-2)
+    above = mags > tol
+    if above[..., 0, :].all():
+        # the generic case: every column leads with its first entry
+        pivot = mat[..., :1, :]
+    else:
+        lead = above.argmax(axis=-2)[..., None, :]
+        pivot = np.take_along_axis(mat, lead, axis=-2)
     pivot_mag = np.abs(pivot)
     scale = np.ones_like(pivot)
     np.divide(pivot.conj(), pivot_mag, out=scale, where=pivot_mag > tol)
@@ -120,23 +125,32 @@ def alignment_loop(g_cross, n_alpha, n_beta, d_alpha, d_beta,
     the mirror update for the downlink-user receive filters, recording the
     per-user leakage power (sum of the kept eigenvalues).
 
-    Stops once the total leakage drops to ``rel_stop`` times the first
-    iteration's total.  Returns ``(u, v, totals, per_user, n_iters,
-    converged)``: per-user filter tuples (N x 0 for a user without streams)
-    and the leakage arrays of the ``n_iters`` iterations run.
+    The loop runs several members at once: member m weights the users'
+    leakage by ``w_alpha[m]`` and ``w_beta[m]`` and shares the channels and
+    the initial filters with the others.  A member stops once its total
+    leakage drops to ``rel_stop`` times its first iteration's total, or after
+    ``max_iters``, and then leaves the stack; its arithmetic is that of a run
+    on its own.  Returns ``(u, v, totals, per_user, n_iters, converged)``
+    with one entry per member in each of ``u``, ``v`` (per-user filter
+    tuples, N x 0 for a user without streams), ``totals`` and ``per_user``
+    (the leakage arrays of the iterations it ran) and ``converged``;
+    ``n_iters`` is the number of iterations run, summed over the members.
     """
     # Users with streams, grouped by filter shape: each group's products,
-    # eigh and phase fix run as one stacked call.  The covariances still add
-    # one user's term at a time in user order, so the arithmetic is that of
-    # a per-user loop.
+    # eigh and phase fix run as one stacked call over the members and the
+    # group's users.  The covariances still add one user's term at a time in
+    # user order, so the arithmetic is that of a per-user loop.  Stacks carry
+    # the members first: u[i] is (members, users, n, d).
     ga = _shape_groups(n_alpha, d_alpha)
     gb = _shape_groups(n_beta, d_beta)
     order_a = sorted((k, i, pos) for i, (_, ks) in enumerate(ga)
                      for pos, k in enumerate(ks))
     order_b = sorted((l, j, pos) for j, (_, ls) in enumerate(gb)
                      for pos, l in enumerate(ls))
-    w_a = [np.array([w_alpha[k] for k in ks])[:, None, None] for _, ks in ga]
-    w_b = [np.array([w_beta[l] for l in ls])[:, None, None] for _, ls in gb]
+    w_alpha = np.array(w_alpha, dtype=float).reshape(len(w_alpha), len(n_alpha))
+    w_beta = np.array(w_beta, dtype=float).reshape(len(w_beta), len(n_beta))
+    w_a = [w_alpha[:, None, ks, None, None] for _, ks in ga]
+    w_b = [w_beta[:, None, ls, None, None] for _, ls in gb]
     # channel blocks between two groups as (alpha users, beta users, na, nb),
     # and conjugate-transposed as (beta users, alpha users, nb, na)
     g, g_h = {}, {}
@@ -144,50 +158,82 @@ def alignment_loop(g_cross, n_alpha, n_beta, d_alpha, d_beta,
         for j, (_, ls) in enumerate(gb):
             g[i, j] = blk = np.array([[g_cross[k][l] for l in ls] for k in ks])
             g_h[j, i] = np.ascontiguousarray(blk.conj().transpose(1, 0, 3, 2))
-    u = [np.array([u0[k] for k in ks]) for _, ks in ga]
+    # the members share the initial filters until their first update
+    u = [np.array([u0[k] for k in ks])[None] for _, ks in ga]
     v = [None] * len(gb)
-    # leakage records grow by doubling, so memory follows the iterations run
-    totals = np.zeros(min(max_iters, 1024))
-    per_user = np.zeros((len(totals), len(n_alpha)))
-    n_iters = 0
-    converged = False
-    for it in range(max_iters):
-        if it == len(totals):
-            totals = np.concatenate((totals, np.zeros_like(totals)))
-            per_user = np.concatenate((per_user, np.zeros_like(per_user)))
+    n_members = len(w_alpha)
+    alive = list(range(n_members))
+    # per-member leakage records grow by doubling up to max_iters, so memory
+    # follows the iterations run
+    totals = [np.zeros(min(max_iters, 1024)) for _ in alive]
+    per_user = [np.zeros((len(t), len(n_alpha))) for t in totals]
+    out = [None] * n_members
+    it = 0
+    while alive:
+        if it == len(totals[0]):
+            rows = min(2 * it, max_iters) - it
+            for a, (rec_t, rec_p) in enumerate(zip(totals, per_user)):
+                totals[a] = np.concatenate((rec_t, np.zeros(rows)))
+                per_user[a] = np.concatenate((rec_p, np.zeros((rows, rec_p.shape[1]))))
         for j, ((nb, db), ls) in enumerate(gb):
-            terms = [w_a[i] * _gram(g_h[j, i] @ u[i]) for i in range(len(ga))]
-            cov = np.zeros((len(ls), nb, nb), dtype=np.complex128)
+            terms = [w_a[i] * _gram(g_h[j, i] @ u[i][:, None])
+                     for i in range(len(ga))]
+            cov = np.zeros((len(alive), len(ls), nb, nb), dtype=np.complex128)
             for _, i, pos in order_a:
-                cov += terms[i][:, pos]
+                cov += terms[i][:, :, pos]
             _, vecs = np.linalg.eigh(cov)
             v[j] = np.ascontiguousarray(fix_column_phases(vecs[..., :db]))
         for i, ((na, da), ks) in enumerate(ga):
-            terms = [w_b[j] * _gram(g[i, j] @ v[j]) for j in range(len(gb))]
-            cov = np.zeros((len(ks), na, na), dtype=np.complex128)
+            terms = [w_b[j] * _gram(g[i, j] @ v[j][:, None])
+                     for j in range(len(gb))]
+            cov = np.zeros((len(alive), len(ks), na, na), dtype=np.complex128)
             for _, j, pos in order_b:
-                cov += terms[j][:, pos]
+                cov += terms[j][:, :, pos]
             vals, vecs = np.linalg.eigh(cov)
             u[i] = np.ascontiguousarray(fix_column_phases(vecs[..., :da]))
-            for k, user_vals in zip(ks, vals[:, :da].tolist()):
-                leak = 0.0
-                for val in user_vals:
-                    if val > 0.0:
-                        leak += val
-                per_user[it, k] = leak
-        total = 0.0
-        for k, _, _ in order_a:
-            total += per_user[it, k]
-        totals[it] = total
-        n_iters = it + 1
-        if total <= rel_stop * totals[0]:
-            converged = True
-            break
-    u_out = [np.zeros((n, 0), dtype=np.complex128) for n in n_alpha]
-    v_out = [np.zeros((n, 0), dtype=np.complex128) for n in n_beta]
-    for out, groups, stacks in ((u_out, ga, u), (v_out, gb, v)):
-        for (_, users), stack in zip(groups, stacks):
-            for i, mat in zip(users, stack):
-                out[i] = mat
-    return (tuple(u_out), tuple(v_out), totals[:n_iters].copy(),
-            per_user[:n_iters].copy(), n_iters, converged)
+            for rec, member_vals in zip(per_user, vals[..., :da].tolist()):
+                for k, user_vals in zip(ks, member_vals):
+                    leak = 0.0
+                    for val in user_vals:
+                        if val > 0.0:
+                            leak += val
+                    rec[it, k] = leak
+        keep = []
+        for a, (m, rec_t, rec_p) in enumerate(zip(alive, totals, per_user)):
+            total = 0.0
+            for k, _, _ in order_a:
+                total += rec_p[it, k]
+            rec_t[it] = total
+            converged = bool(total <= rel_stop * rec_t[0])
+            if converged or it + 1 == max_iters:
+                # records cut to the iterations run; full ones are handed over
+                n = it + 1
+                out[m] = (_member_filters(n_alpha, ga, u, a),
+                          _member_filters(n_beta, gb, v, a),
+                          rec_t if n == len(rec_t) else rec_t[:n].copy(),
+                          rec_p if n == len(rec_p) else rec_p[:n].copy(), converged)
+            else:
+                keep.append(a)
+        it += 1
+        if len(keep) < len(alive):
+            alive = [alive[a] for a in keep]
+            totals = [totals[a] for a in keep]
+            per_user = [per_user[a] for a in keep]
+            u = [stack[keep] for stack in u]
+            v = [stack[keep] for stack in v]
+            w_a = [w[keep] for w in w_a]
+            w_b = [w[keep] for w in w_b]
+    results = tuple(zip(*out)) if out else ((),) * 5
+    u_out, v_out, totals_out, per_user_out, converged_out = results
+    return (u_out, v_out, totals_out, per_user_out,
+            sum(len(t) for t in totals_out), converged_out)
+
+
+def _member_filters(n, groups, stacks, a):
+    """Member ``a``'s filter per user from the group stacks (N x 0 for a user
+    without streams)."""
+    out = [np.zeros((n_i, 0), dtype=np.complex128) for n_i in n]
+    for (_, users), stack in zip(groups, stacks):
+        for i, mat in zip(users, stack[a]):
+            out[i] = mat
+    return tuple(out)

@@ -1,11 +1,13 @@
 """Construction of aligning precoders and postcoders.
 
 Stage 1 drives the cross-link interference seen by the downlink users to
-zero by alternating minimization (`iterate_alignment`): the uplink transmit
-filters and downlink receive filters are re-pointed, in turn, at the
-eigenvectors of their interference covariance with the smallest eigenvalues;
-those covariances and updates exist only inside `_kernels.alignment_loop`.
-Stage 2 (`zero_force_step2`) then zero-forces the remaining couplings
+zero by alternating minimization (`iterate_alignment`, or
+`iterate_alignment_batch` for several power profiles of one draw): the
+uplink transmit filters and downlink receive filters are re-pointed, in
+turn, at the eigenvectors of their interference covariance with the
+smallest eigenvalues; those covariances and updates exist only inside
+`_kernels.alignment_loop`.  Stage 2 (`zero_force_step2`, completed with
+`normalize` by `complete_beamformers`) then zero-forces the remaining couplings
 (intra-cell interference in both cells and the BS-to-BS link) through
 pseudo-inverses of stacked effective channels.  `residual_report` measures
 how well a finished beamformer set satisfies every alignment condition.  It
@@ -118,22 +120,38 @@ def iterate_alignment(channels, dof, powers, opts=None, rng=None):
     projected interference covariance) recorded each iteration.  Stops when
     the total drops to ``leakage_stop`` times the first iteration's total or
     after ``max_iters``; non-convergence is reported in the trace, never
-    raised.  The loop is `_kernels.alignment_loop`, which takes the cross
-    channels and the initial filters as they are, one matrix per user.
+    raised.  This is `iterate_alignment_batch` for one power profile.
 
     Returns ``(u_alpha, v_beta, trace)``.
+    """
+    return iterate_alignment_batch(channels, dof, (powers,), opts, rng)[0]
+
+
+def iterate_alignment_batch(channels, dof, profiles, opts=None, rng=None):
+    """`iterate_alignment` at every power profile of ``profiles`` at once.
+
+    The builds share the channels and the initial filters drawn from
+    ``rng`` and differ only in their leakage weights, so they run as the
+    members of one `_kernels.alignment_loop`, which takes the cross channels
+    and the initial filters as they are, one matrix per user.  Each build
+    stops on its own and is bit-identical to a build on its own.
+
+    Returns one ``(u_alpha, v_beta, trace)`` per profile.
     """
     opts = opts or IterationOptions()
     if rng is None:
         rng = RngStream(0, 1)
     config = channels.config
     u0 = init_postcoders(config, dof, rng)
-    w_alpha = [p / d if d else 0.0 for p, d in zip(powers.p_alpha, dof.d_alpha)]
-    w_beta = [p / d if d else 0.0 for p, d in zip(powers.p_beta, dof.d_beta)]
+    w_alpha = [[p / d if d else 0.0 for p, d in zip(powers.p_alpha, dof.d_alpha)]
+               for powers in profiles]
+    w_beta = [[p / d if d else 0.0 for p, d in zip(powers.p_beta, dof.d_beta)]
+              for powers in profiles]
     u_alpha, v_beta, totals, per_user, _, converged = _kernels.alignment_loop(
         channels.g_cross, config.n_alpha, config.n_beta, dof.d_alpha, dof.d_beta,
         w_alpha, w_beta, u0, opts.max_iters, opts.leakage_stop)
-    return u_alpha, v_beta, LeakageTrace(totals, per_user, converged)
+    return tuple((u, v, LeakageTrace(t, p, c))
+                 for u, v, t, p, c in zip(u_alpha, v_beta, totals, per_user, converged))
 
 
 def _guarded_pinv(a, branch):
@@ -241,9 +259,13 @@ def construct_beamformers(channels, dof, powers, opts=None, rng=None):
     Returns ``(BeamformerSet, LeakageTrace)``.
     """
     u_alpha, v_beta, trace = iterate_alignment(channels, dof, powers, opts, rng)
+    return complete_beamformers(channels, dof, u_alpha, v_beta), trace
+
+
+def complete_beamformers(channels, dof, u_alpha, v_beta):
+    """Stage 2 and normalization on given stage-1 filters: a `BeamformerSet`."""
     v_alpha, u_beta = zero_force_step2(channels, dof, u_alpha, v_beta)
-    bf = normalize(BeamformerSet(u_alpha, v_alpha, u_beta, v_beta))
-    return bf, trace
+    return normalize(BeamformerSet(u_alpha, v_alpha, u_beta, v_beta))
 
 
 def _min_singular(mat):

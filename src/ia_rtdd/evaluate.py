@@ -5,10 +5,11 @@ Rates follow the standard aligned-MIMO form
 log-determinant difference of two identity-plus-PSD matrices, which avoids
 any explicit inverse; the covariances are built from the effective links of
 `beamform._link_blocks`.  The sweep takes one trial at a time: it draws
-the trial's channels and builds its single-cell baseline once, then reruns
-the beamformer pipeline and rates both at every grid point, with fixed
-random substreams, so results are bit-reproducible for a given seed; means
-are ordered folds over ascending trial index.
+the trial's channels and builds its single-cell baseline once, builds the
+stage-1 filters of its grid points in one stacked alignment loop (per
+slice of STAGE1_BATCH points), then zero-forces and rates both at every
+grid point, with fixed random substreams, so results are bit-reproducible
+for a given seed; means are ordered folds over ascending trial index.
 """
 
 import math
@@ -16,8 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# construct_beamformers is not called here, but perfbench/spans.py traces
+# it at this lookup site, so the name stays
 from .beamform import (FLOAT_FORMAT, BeamformerSet, PowerProfile,
-                       construct_beamformers, _guarded_pinv, _link_blocks,
+                       complete_beamformers, construct_beamformers,
+                       iterate_alignment_batch, _guarded_pinv, _link_blocks,
                        _no_streams, _normalize_matrix, _split)
 from .errors import ConfigError, NumericalError, SingularSystemError
 from .model import (RngStream, sample_channels, validate_config,
@@ -25,6 +29,9 @@ from .model import (RngStream, sample_channels, validate_config,
 
 _LN2 = math.log(2.0)
 MAX_ABS_SNR_DB = 300.0  # near 3080 dB the powers overflow the rate arithmetic
+# Grid points whose stage-1 builds share one alignment loop: a longer grid
+# runs in slices, so the leakage records alive at once stay bounded.
+STAGE1_BATCH = 16
 
 
 def snr_to_power(snr_db):
@@ -247,10 +254,12 @@ def monte_carlo_sweep(config, dof, snr_grid_db, trials, opts=None, seed=0):
     Channels for trial t come from substream t of the seed and the filter
     initialization from substream trials + t, so reruns with the same seed
     are bit-identical.  Each trial draws its channels and builds the
-    single-cell baseline once, then rates both at every grid point.  Trials
-    that raise a singular-system or numerical error are dropped from the
-    means and counted per grid point; a grid point only fails when every
-    trial failed (mean reported as NaN).
+    single-cell baseline once, runs the stage-1 builds of up to
+    STAGE1_BATCH grid points as one `iterate_alignment_batch`, each
+    bit-identical to a build on its own, then completes the beamformers and
+    rates both at every grid point.  Trials that raise a singular-system or
+    numerical error are dropped from the means and counted per grid point;
+    a grid point only fails when every trial failed (mean reported as NaN).
     """
     validate_config(config, dof)
     trials = validate_trials(trials)
@@ -263,16 +272,19 @@ def monte_carlo_sweep(config, dof, snr_grid_db, trials, opts=None, seed=0):
     for t in range(trials):
         channels = sample_channels(config, RngStream(seed, t))
         links = _single_cell_links(channels, config)
-        for i, (snr_db, powers) in enumerate(zip(grid, profiles)):
-            single[i] += _single_cell_rates(links, config, snr_to_power(snr_db))
-            try:
-                bf, _ = construct_beamformers(channels, dof, powers, opts,
-                                              rng=RngStream(seed, trials + t))
-                rates = sum_rate(channels, bf, powers)
-            except (SingularSystemError, NumericalError):
-                continue
-            acc[i] += rates.per_alpha + rates.per_beta
-            ok[i] += 1
+        for lo in range(0, len(grid), STAGE1_BATCH):
+            stage1 = iterate_alignment_batch(channels, dof,
+                                             profiles[lo:lo + STAGE1_BATCH], opts,
+                                             rng=RngStream(seed, trials + t))
+            for i, (u_alpha, v_beta, _) in enumerate(stage1, lo):
+                single[i] += _single_cell_rates(links, config, snr_to_power(grid[i]))
+                try:
+                    bf = complete_beamformers(channels, dof, u_alpha, v_beta)
+                    rates = sum_rate(channels, bf, profiles[i])
+                except (SingularSystemError, NumericalError):
+                    continue
+                acc[i] += rates.per_alpha + rates.per_beta
+                ok[i] += 1
     with np.errstate(invalid="ignore"):
         means = acc / ok[:, None]
     return SweepResult(

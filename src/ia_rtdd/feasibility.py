@@ -81,7 +81,8 @@ def _subset_witness(pair):
 
 
 def _guard_subset_size(config, subset_limit):
-    limit = DEFAULT_SUBSET_LIMIT if subset_limit is None else int(subset_limit)
+    limit = (DEFAULT_SUBSET_LIMIT if subset_limit is None
+             else _as_int(subset_limit, "subset_limit"))
     users = config.num_alpha + config.num_beta
     if users > limit:
         raise SubsetLimitError(

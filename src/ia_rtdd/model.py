@@ -203,7 +203,7 @@ class RngStream:
 
     def shifted(self, offset):
         """Stream with the same seed and stream_index moved by ``offset``."""
-        return RngStream(self.seed, self.stream_index + int(offset))
+        return RngStream(self.seed, self.stream_index + _as_int(offset, "offset"))
 
 
 def _freeze(a):

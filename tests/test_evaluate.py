@@ -324,10 +324,21 @@ class TestSweepOrder:
                 raise ia.SingularSystemError("forced failure")
             return real(channels, dof, powers, opts, rng=rng)
 
-        monkeypatch.setattr(evaluate, "construct_beamformers", flaky)
+        # the sweep completes the beamformers of each trial's points in grid
+        # order, after that trial's stacked stage 1
+        points = iter([(t, s) for t in range(trials) for s in grid])
+        complete = evaluate.complete_beamformers
+
+        def flaky_point(channels, dof, u_alpha, v_beta):
+            if next(points) in fail:
+                raise ia.SingularSystemError("forced failure")
+            return complete(channels, dof, u_alpha, v_beta)
+
+        monkeypatch.setattr(evaluate, "complete_beamformers", flaky_point)
         monkeypatch.setattr(oracles, "construct_beamformers", flaky)
         got = ia.monte_carlo_sweep(cfg, dof, grid, trials, SWEEP_OPTS, seed=2)
         want = per_point_sweep(cfg, dof, grid, trials, SWEEP_OPTS, seed=2)
+        assert next(points, None) is None
         assert got.trials_ok == want.trials_ok == (1, 0, 3)
         assert got.trials_failed == want.trials_failed == (2, 3, 0)
         assert sweep_bytes(got, [0, 2]) == sweep_bytes(want, [0, 2])
@@ -336,6 +347,23 @@ class TestSweepOrder:
         # the baseline does not depend on the alignment, so it never fails
         assert got.baseline_single_cell == want.baseline_single_cell
         assert got.baseline_single_cell[1] > 0
+
+    def test_long_grid_runs_in_slices(self, monkeypatch):
+        # a grid longer than STAGE1_BATCH builds stage 1 slice by slice, with
+        # the same results as one point at a time
+        cfg, dof = IRREGULAR[0]
+        grid = [float("-inf"), 0.0, 30.0]
+        batches = []
+        batch = evaluate.iterate_alignment_batch
+        monkeypatch.setattr(evaluate, "STAGE1_BATCH", 2)
+        monkeypatch.setattr(evaluate, "iterate_alignment_batch",
+                            lambda ch, dof, profiles, *args, **kw:
+                            batches.append(len(profiles)) or batch(ch, dof, profiles,
+                                                                   *args, **kw))
+        got = ia.monte_carlo_sweep(cfg, dof, grid, 2, SWEEP_OPTS, seed=5)
+        want = per_point_sweep(cfg, dof, grid, 2, SWEEP_OPTS, seed=5)
+        assert batches == [2, 1, 2, 1]
+        assert sweep_bytes(got) == sweep_bytes(want)
 
     def test_each_trial_drawn_and_baselined_once(self, monkeypatch):
         cfg = NetworkConfig(4, (3, 3), 6, (2, 2))

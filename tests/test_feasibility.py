@@ -88,6 +88,10 @@ class TestNecessary:
         with pytest.raises(SubsetLimitError):
             ia.check_necessary(cfg, dof)
         assert ia.check_necessary(cfg, dof, subset_limit=21).verdict
+        # a limit is never truncated: 21.5 is not 21, and True is not 1
+        for bad in (21.5, True, "21"):
+            with pytest.raises(ConfigError, match="subset_limit"):
+                ia.check_necessary(cfg, dof, subset_limit=bad)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.data())

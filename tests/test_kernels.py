@@ -48,9 +48,28 @@ def test_scan_matches_brute_force_first_violation(seed):
     _assert_scan_matches_oracle(np.random.default_rng(100 + seed), 3, 6)
 
 
+def _assert_members_match_reference(args, w_alpha, w_beta):
+    """Each member of one alignment_loop call is bit-equal to the per-user
+    reference run alone with its weights; returns the members' iterations."""
+    got = _kernels.alignment_loop(*args[:5], w_alpha, w_beta, *args[5:])
+    u, v, totals, per_user, n_iters, converged = got
+    assert len(u) == len(v) == len(totals) == len(per_user) == len(converged) \
+        == len(w_alpha)
+    for m, (wa, wb) in enumerate(zip(w_alpha, w_beta)):
+        want = per_user_alignment_loop(*args[:5], wa, wb, *args[5:])
+        mine = u[m] + v[m] + (totals[m], per_user[m])
+        for a, b in zip(mine, want[0] + want[1] + want[2:4]):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+        assert (len(totals[m]), converged[m]) == want[4:]
+    assert n_iters == sum(len(t) for t in totals)
+    return [len(t) for t in totals]
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_alignment_loop_matches_per_user_reference(seed):
-    # irregular networks, so users of several filter shapes share a cell
+    # irregular networks, so users of several filter shapes share a cell; a
+    # batch of 2-4 members with random weights, one of them all zero
     rng = np.random.default_rng(seed)
     k, l = (int(v) for v in rng.integers(1, 5, size=2))
     n_a = [int(v) for v in rng.integers(1, 7, size=k)]
@@ -64,32 +83,43 @@ def test_alignment_loop_matches_per_user_reference(seed):
         q, _ = np.linalg.qr(rng.standard_normal((n, n))
                             + 1j * rng.standard_normal((n, n)))
         u0.append(q[:, :d])
-    args = (g_cross, n_a, n_b, d_a, d_b, list(rng.uniform(0.1, 3.0, k)),
-            list(rng.uniform(0.1, 3.0, l)), tuple(u0), 40, 1e-8)
-    got = _kernels.alignment_loop(*args)
-    want = per_user_alignment_loop(*args)
-    for a, b in zip(got[0] + got[1] + got[2:4], want[0] + want[1] + want[2:4]):
-        assert a.shape == b.shape and a.dtype == b.dtype
-        assert a.tobytes() == b.tobytes()
-    assert got[4:] == want[4:]
+    members = int(rng.integers(2, 5))
+    w_alpha = [list(rng.uniform(0.1, 3.0, k)) for _ in range(members)]
+    w_beta = [list(rng.uniform(0.1, 3.0, l)) for _ in range(members)]
+    zero = int(rng.integers(members))
+    w_alpha[zero], w_beta[zero] = [0.0] * k, [0.0] * l
+    args = (g_cross, n_a, n_b, d_a, d_b, tuple(u0), 40, 1e-8)
+    iterations = _assert_members_match_reference(args, w_alpha, w_beta)
+    # the zero-weight member leaks nothing and stops after one iteration; the
+    # others run on, except on seed 3's network, which aligns at once
+    assert iterations[zero] == 1
+    assert (max(iterations) == 1) == (seed == 3)
+
+
+def test_alignment_loop_runs_no_member():
+    u, v, totals, per_user, n_iters, converged = _kernels.alignment_loop(
+        [[np.ones((2, 2))]], [2], [2], [1], [1], [], [], (np.eye(2)[:, :1],), 5, 1e-8)
+    assert (u, v, totals, per_user, n_iters, converged) == ((), (), (), (), 0, ())
 
 
 def test_alignment_loop_grows_its_records_bit_for_bit():
-    # an infeasible allocation plateaus, so the loop runs past the first
-    # 1024-iteration leakage buffer and has to grow it
-    rng = np.random.default_rng(3)
-    g_cross = [[rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-                for _ in range(2)] for _ in range(2)]
-    u0 = tuple(np.linalg.qr(rng.standard_normal((3, 3))
-                            + 1j * rng.standard_normal((3, 3)))[0][:, :2]
-               for _ in range(2))
-    args = (g_cross, [3, 3], [3, 3], [2, 2], [2, 2], [1.0, 2.0], [1.5, 0.5],
-            u0, 1500, 1e-300)
-    got = _kernels.alignment_loop(*args)
-    want = per_user_alignment_loop(*args)
-    assert got[4:] == want[4:] == (1500, False)
-    for a, b in zip(got[2:4], want[2:4]):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    # a slowly converging network, so the records grow past their first 1024
+    # rows twice, the second time to max_iters; the members leave the stack
+    # at four different iterations, before and after each growth
+    rng = np.random.default_rng(4)
+    n, d = [4, 4], [2, 2]
+    g_cross = [[rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+                for _ in n] for _ in n]
+    u0 = tuple(np.linalg.qr(rng.standard_normal((4, 4))
+                            + 1j * rng.standard_normal((4, 4)))[0][:, :2]
+               for _ in n)
+    w_alpha = [[1.0, 1.0], list(rng.uniform(0.2, 3, 2)), list(rng.uniform(0.2, 3, 2)),
+               [0.0, 0.0]]
+    w_beta = [[1.0, 1.0], list(rng.uniform(0.2, 3, 2)), list(rng.uniform(0.2, 3, 2)),
+              [0.0, 0.0]]
+    args = (g_cross, n, n, d, d, u0, 3000, 1e-24)
+    assert _assert_members_match_reference(args, w_alpha, w_beta) == \
+        [1055, 2201, 3000, 1]
 
 
 class TestFixColumnPhases:
@@ -115,13 +145,20 @@ class TestFixColumnPhases:
         assert np.allclose(out[:, 1], [0.0, 2.0, 1.0j])
 
     def test_stack_matches_per_matrix_calls(self):
+        # a (members, users) stack, as the alignment loop passes it, with a
+        # zero column and a column whose lead entry is not its first
         rng = np.random.default_rng(1)
-        stack = rng.standard_normal((3, 5, 2)) + 1j * rng.standard_normal((3, 5, 2))
-        stack[1, :, 0] = 0.0
-        stack[2, :2, 1] = 0.0
+        stack = rng.standard_normal((2, 3, 5, 2)) + 1j * rng.standard_normal((2, 3, 5, 2))
+        stack[0, 1, :, 0] = 0.0
+        stack[1, 2, :2, 1] = 0.0
         out = _kernels.fix_column_phases(stack)
-        for got, mat in zip(out, stack):
-            assert got.tobytes() == _kernels.fix_column_phases(mat).tobytes()
+        for got_member, member in zip(out, stack):
+            for got, mat in zip(got_member, member):
+                assert got.tobytes() == _kernels.fix_column_phases(mat).tobytes()
+        # a stack whose every column leads with its first entry
+        generic = stack[:, :1]
+        assert _kernels.fix_column_phases(generic).tobytes() == \
+            out[:, :1].tobytes()
 
 
 @pytest.fixture
@@ -135,13 +172,16 @@ def spans(monkeypatch):
 
 def test_benchmark_tracer_reads_alignment_loop(spans):
     # perfbench/spans.py reads arguments 1-4 (user antennas and streams) and
-    # output 4 (iterations run) of the alignment loop to count its FLOPs, and
-    # the benchmark calls residual_report(channels, bf, dof) and
-    # sum_rate(channels, bf, powers) through the package namespace
+    # output 4 (iterations run, summed over the members) of the alignment
+    # loop to count its FLOPs, and the benchmark calls
+    # residual_report(channels, bf, dof) and sum_rate(channels, bf, powers)
+    # through the package namespace
     cfg = ia.NetworkConfig(4, (3, 3), 6, (2, 2))
     dof = ia.DofAllocation((2, 2), (1, 1))
     powers = ia.power_profile_for_snr(cfg, 20.0)
     ch = ia.sample_channels(cfg, ia.RngStream(0, 0))
+    u0 = ia.init_postcoders(cfg, dof, ia.RngStream(0, 1))
+    shape = (ch.g_cross, cfg.n_alpha, cfg.n_beta, dof.d_alpha, dof.d_beta)
     tracer = spans.Tracer()
     tracer.install(ia)
     try:
@@ -150,16 +190,25 @@ def test_benchmark_tracer_reads_alignment_loop(spans):
                                          ia.RngStream(0, 1))
         ia.residual_report(ch, bf, dof)
         ia.sum_rate(ch, bf, powers)
+        tracer.op = 1
+        one = _kernels.alignment_loop(*shape, [[1.0, 1.0]], [[1.0, 1.0]], u0, 1, 1e-8)
+        tracer.op = 2
+        three = _kernels.alignment_loop(*shape, [[1.0, 2.0], [0.0, 0.0], [3.0, 1.0]],
+                                        [[1.0, 1.0], [0.0, 0.0], [0.5, 2.0]], u0, 4, 1e-8)
         tracer.op = None
     finally:
         left = tracer.restore(ia)
     assert left == []
     totals = spans.layer_totals(tracer.spans)
     loop = totals["kernels.alignment_loop"]
-    assert loop["calls"] == 1 and loop["flop"] > 0
+    assert loop["calls"] == 3 and loop["flop"] > 0
     assert totals["beamform.residual_report"]["calls"] == 1
     assert "margin_ok" in totals["beamform.residual_report"]
     assert totals["evaluate.sum_rate"]["calls"] == 1
+    flop = {span[4]: span[5]["flop"] for span in tracer.spans
+            if span[0] == "kernels.alignment_loop"}
+    assert one[4] == 1 and [len(t) for t in three[2]] == [4, 1, 4]
+    assert flop[2] == flop[1] * 9
 
 
 def test_benchmark_tracer_reads_feasibility(spans):
@@ -193,8 +242,8 @@ def test_benchmark_tracer_reads_feasibility(spans):
 
 
 def test_benchmark_tracer_reads_sweep(spans):
-    # the benchmark's view of a 2-trial, 2-point sweep: one draw per trial,
-    # one construction and one rating per (trial, SNR) point
+    # the benchmark's view of a 2-trial, 2-point sweep: one draw and one
+    # stacked alignment loop per trial, one rating per (trial, SNR) point
     cfg = ia.NetworkConfig(4, (3, 3), 6, (2, 2))
     dof = ia.DofAllocation((2, 2), (1, 1))
     tracer = spans.Tracer()
@@ -209,7 +258,7 @@ def test_benchmark_tracer_reads_sweep(spans):
     calls = {name: row["calls"] for name, row in spans.layer_totals(tracer.spans).items()}
     assert calls["evaluate.monte_carlo_sweep"] == 1
     assert calls["model.sample_channels"] == 2
-    assert calls["beamform.construct_beamformers"] == 4
+    assert calls["kernels.alignment_loop"] == 2
     assert calls["evaluate.sum_rate"] == 4
 
 

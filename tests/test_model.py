@@ -117,3 +117,7 @@ def test_rng_stream_rejects_bad_seeds():
             RngStream(0, bad)
     assert RngStream(np.int64(3), np.uint8(2)) == RngStream(3, 2)
     assert RngStream(0, 0).shifted(1) == RngStream(0, 1)
+    # an offset is never truncated: 1.7 is not stream 1
+    for bad in (1.7, True, "1"):
+        with pytest.raises(ConfigError, match="offset"):
+            RngStream(0, 0).shifted(bad)
