@@ -114,6 +114,23 @@ def _gram(t):
     return t @ np.ascontiguousarray(t.conj().swapaxes(-1, -2))
 
 
+def _weakest(members, group, blocks, weights, filters, order):
+    """Update one shape group's filters from the other side's.
+
+    The covariance ``sum w (B F)(B F)^H`` adds one term per other-side user
+    in user order ``order``; ``blocks``, ``weights`` and ``filters`` are per
+    other-side group.  Returns the eigenvalues and the ``d`` weakest
+    eigenvectors, phase-fixed.
+    """
+    (n, d), users = group
+    terms = [w * _gram(b @ f[:, None]) for b, w, f in zip(blocks, weights, filters)]
+    cov = np.zeros((members, len(users), n, n), dtype=np.complex128)
+    for _, b, pos in order:
+        cov += terms[b][:, :, pos]
+    vals, vecs = np.linalg.eigh(cov)
+    return vals, np.ascontiguousarray(fix_column_phases(vecs[..., :d]))
+
+
 def alignment_loop(g_cross, n_alpha, n_beta, d_alpha, d_beta,
                    w_alpha, w_beta, u0, max_iters, rel_stop):
     """Alternate eigenvector updates of receive/transmit filters on the cross links.
@@ -129,8 +146,9 @@ def alignment_loop(g_cross, n_alpha, n_beta, d_alpha, d_beta,
     leakage by ``w_alpha[m]`` and ``w_beta[m]`` and shares the channels and
     the initial filters with the others.  A member stops once its total
     leakage drops to ``rel_stop`` times its first iteration's total, or after
-    ``max_iters``, and then leaves the stack; its arithmetic is that of a run
-    on its own.  Returns ``(u, v, totals, per_user, n_iters, converged)``
+    ``max_iters``; its filters and records are taken then, and its
+    arithmetic is that of a run on its own.  The loop ends when the last
+    member stops.  Returns ``(u, v, totals, per_user, n_iters, converged)``
     with one entry per member in each of ``u``, ``v`` (per-user filter
     tuples, N x 0 for a user without streams), ``totals`` and ``per_user``
     (the leakage arrays of the iterations it ran) and ``converged``;
@@ -149,84 +167,55 @@ def alignment_loop(g_cross, n_alpha, n_beta, d_alpha, d_beta,
                      for pos, l in enumerate(ls))
     w_alpha = np.array(w_alpha, dtype=float).reshape(len(w_alpha), len(n_alpha))
     w_beta = np.array(w_beta, dtype=float).reshape(len(w_beta), len(n_beta))
+    members = len(w_alpha)
     w_a = [w_alpha[:, None, ks, None, None] for _, ks in ga]
     w_b = [w_beta[:, None, ls, None, None] for _, ls in gb]
-    # channel blocks between two groups as (alpha users, beta users, na, nb),
-    # and conjugate-transposed as (beta users, alpha users, nb, na)
-    g, g_h = {}, {}
-    for i, (_, ks) in enumerate(ga):
-        for j, (_, ls) in enumerate(gb):
-            g[i, j] = blk = np.array([[g_cross[k][l] for l in ls] for k in ks])
-            g_h[j, i] = np.ascontiguousarray(blk.conj().transpose(1, 0, 3, 2))
+    # g[i][j]: channel blocks from alpha group i to beta group j as (alpha
+    # users, beta users, na, nb); g_h[j][i] the conjugate transposes as (beta
+    # users, alpha users, nb, na)
+    g = [[np.array([[g_cross[k][l] for l in ls] for k in ks]) for _, ls in gb]
+         for _, ks in ga]
+    g_h = [[np.ascontiguousarray(row[j].conj().transpose(1, 0, 3, 2)) for row in g]
+           for j in range(len(gb))]
     # the members share the initial filters until their first update
     u = [np.array([u0[k] for k in ks])[None] for _, ks in ga]
     v = [None] * len(gb)
-    n_members = len(w_alpha)
-    alive = list(range(n_members))
-    # per-member leakage records grow by doubling up to max_iters, so memory
-    # follows the iterations run
-    totals = [np.zeros(min(max_iters, 1024)) for _ in alive]
-    per_user = [np.zeros((len(t), len(n_alpha))) for t in totals]
-    out = [None] * n_members
+    # one leakage record for all members, grown by doubling up to max_iters
+    # so memory follows the iterations run
+    totals = np.zeros((0, members))
+    per_user = np.zeros((0, members, len(n_alpha)))
+    out = [None] * members
     it = 0
-    while alive:
-        if it == len(totals[0]):
-            rows = min(2 * it, max_iters) - it
-            for a, (rec_t, rec_p) in enumerate(zip(totals, per_user)):
-                totals[a] = np.concatenate((rec_t, np.zeros(rows)))
-                per_user[a] = np.concatenate((rec_p, np.zeros((rows, rec_p.shape[1]))))
-        for j, ((nb, db), ls) in enumerate(gb):
-            terms = [w_a[i] * _gram(g_h[j, i] @ u[i][:, None])
-                     for i in range(len(ga))]
-            cov = np.zeros((len(alive), len(ls), nb, nb), dtype=np.complex128)
-            for _, i, pos in order_a:
-                cov += terms[i][:, :, pos]
-            _, vecs = np.linalg.eigh(cov)
-            v[j] = np.ascontiguousarray(fix_column_phases(vecs[..., :db]))
-        for i, ((na, da), ks) in enumerate(ga):
-            terms = [w_b[j] * _gram(g[i, j] @ v[j][:, None])
-                     for j in range(len(gb))]
-            cov = np.zeros((len(alive), len(ks), na, na), dtype=np.complex128)
-            for _, j, pos in order_b:
-                cov += terms[j][:, :, pos]
-            vals, vecs = np.linalg.eigh(cov)
-            u[i] = np.ascontiguousarray(fix_column_phases(vecs[..., :da]))
-            for rec, member_vals in zip(per_user, vals[..., :da].tolist()):
+    while None in out:
+        if it == len(totals):
+            rows = min(max(2 * it, 1024), max_iters) - it
+            totals, per_user = (np.concatenate((rec, np.zeros((rows,) + rec.shape[1:])))
+                                for rec in (totals, per_user))
+        for j, group in enumerate(gb):
+            _, v[j] = _weakest(members, group, g_h[j], w_a, u, order_a)
+        for i, group in enumerate(ga):
+            vals, u[i] = _weakest(members, group, g[i], w_b, v, order_b)
+            # a user's leakage adds its kept positive eigenvalues in order
+            (_, da), ks = group
+            for a, member_vals in enumerate(vals[..., :da].tolist()):
                 for k, user_vals in zip(ks, member_vals):
                     leak = 0.0
-                    for val in user_vals:
-                        if val > 0.0:
-                            leak += val
-                    rec[it, k] = leak
-        keep = []
-        for a, (m, rec_t, rec_p) in enumerate(zip(alive, totals, per_user)):
-            total = 0.0
-            for k, _, _ in order_a:
-                total += rec_p[it, k]
-            rec_t[it] = total
-            converged = bool(total <= rel_stop * rec_t[0])
-            if converged or it + 1 == max_iters:
-                # records cut to the iterations run; full ones are handed over
-                n = it + 1
-                out[m] = (_member_filters(n_alpha, ga, u, a),
-                          _member_filters(n_beta, gb, v, a),
-                          rec_t if n == len(rec_t) else rec_t[:n].copy(),
-                          rec_p if n == len(rec_p) else rec_p[:n].copy(), converged)
-            else:
-                keep.append(a)
+                    for x in user_vals:
+                        leak += x if x > 0.0 else 0.0
+                    per_user[it, a, k] = leak
+        # cumsum adds in user order, as a per-user loop would; a user without
+        # streams adds an exact 0.0
+        totals[it] = per_user[it].cumsum(-1)[:, -1]
+        stopped = totals[it] <= rel_stop * totals[0]
+        for m in range(members):
+            if out[m] is None and (stopped[m] or it + 1 == max_iters):
+                out[m] = (_member_filters(n_alpha, ga, u, m),
+                          _member_filters(n_beta, gb, v, m),
+                          totals[:it + 1, m].copy(), per_user[:it + 1, m].copy(),
+                          bool(stopped[m]))
         it += 1
-        if len(keep) < len(alive):
-            alive = [alive[a] for a in keep]
-            totals = [totals[a] for a in keep]
-            per_user = [per_user[a] for a in keep]
-            u = [stack[keep] for stack in u]
-            v = [stack[keep] for stack in v]
-            w_a = [w[keep] for w in w_a]
-            w_b = [w[keep] for w in w_b]
-    results = tuple(zip(*out)) if out else ((),) * 5
-    u_out, v_out, totals_out, per_user_out, converged_out = results
-    return (u_out, v_out, totals_out, per_user_out,
-            sum(len(t) for t in totals_out), converged_out)
+    u, v, totals, per_user, converged = zip(*out) if out else ((),) * 5
+    return u, v, totals, per_user, sum(len(t) for t in totals), converged
 
 
 def _member_filters(n, groups, stacks, a):

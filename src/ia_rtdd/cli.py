@@ -12,7 +12,8 @@ Subcommands:
 Exit status: 0 on success, 1 on an infeasible verdict under ``--strict``,
 2 on any input error.  ``IA_RTDD_MAX_SUBSET_USERS`` overrides the subset
 enumeration guard.  All floating-point output is printed with 9 significant
-digits so emitted files diff cleanly across runs.
+digits so emitted files diff cleanly across runs; JSON output writes a
+non-finite value as null.
 """
 
 import argparse
@@ -34,8 +35,9 @@ MAX_SNR_POINTS = 10_000
 
 
 def _round_floats(obj):
+    """Round every float to FLOAT_FORMAT; a non-finite one becomes None (null)."""
     if isinstance(obj, float):
-        return float(FLOAT_FORMAT % obj)
+        return float(FLOAT_FORMAT % obj) if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -55,7 +57,7 @@ def _emit(text, out_path):
 
 
 def _emit_json(data, out_path):
-    _emit(json.dumps(_round_floats(data), indent=2) + "\n", out_path)
+    _emit(json.dumps(_round_floats(data), indent=2, allow_nan=False) + "\n", out_path)
 
 
 def _load_config(path):
@@ -255,48 +257,54 @@ def build_parser():
                     "construction, and sum-rate simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dof_help):
+    alloc = 'allocation, e.g. "3,3,3,3;2,2,2"'
+
+    def common(p, dof_help=None, seed=True, strict=False):
+        """The flags shared by the subcommands, declared only where read."""
         p.add_argument("--config", required=True,
                        help="network config JSON path")
-        p.add_argument("--dof", help=dof_help)
-        p.add_argument("--seed", type=int, default=0)
+        if dof_help:
+            p.add_argument("--dof", help=dof_help)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 1 on an infeasible verdict")
+        if strict:
+            p.add_argument("--strict", action="store_true",
+                           help="exit 1 on an infeasible verdict")
 
     p = sub.add_parser("check", help="feasibility of one allocation")
-    common(p, 'allocation, e.g. "3,3,3,3;2,2,2"')
+    common(p, alloc, strict=True)
     p.add_argument("--mode", choices=["necessary", "sufficient"],
                    help="restrict to one decider (default: both)")
     p.add_argument("--trials", type=int, default=feasibility.DEFAULT_RANK_TRIALS)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("search", help="maximum sum DoF search")
-    common(p, "ignored for search")
+    common(p, strict=True)
     p.add_argument("--mode", choices=["necessary", "sufficient"],
                    help="restrict to one decider (default: both + optimal flag)")
     p.add_argument("--trials", type=int, default=feasibility.DEFAULT_RANK_TRIALS)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("symmetric", help="symmetric-allocation test")
-    common(p, 'per-cell stream counts, e.g. "4;2"')
+    common(p, 'per-cell stream counts, e.g. "4;2"', seed=False, strict=True)
     p.set_defaults(func=_cmd_symmetric)
 
     p = sub.add_parser("construct", help="build beamformers, report residuals")
-    common(p, 'allocation, e.g. "3,3,3,3;2,2,2"')
+    common(p, alloc)
     p.add_argument("--iters", type=int, default=5000)
     p.add_argument("--snr", default="30", help="operating SNR in dB")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("simulate-leakage", help="leakage trace CSV")
-    common(p, 'allocation, e.g. "3,3,3,3;2,2,2"')
+    common(p, alloc)
     p.add_argument("--iters", type=int, default=2000)
     p.add_argument("--snr", default="30", help="operating SNR in dB")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_simulate_leakage)
 
     p = sub.add_parser("simulate-sumrate", help="Monte-Carlo sum-rate sweep CSV")
-    common(p, 'allocation, e.g. "3,3,3,3;2,2,2"')
+    common(p, alloc)
     p.add_argument("--iters", type=int, default=3000)
     p.add_argument("--snr", default="0:5:50", help="SNR grid START:STEP:STOP in dB")
     p.add_argument("--trials", type=int, default=100)

@@ -241,31 +241,6 @@ class ChannelSet:
                              self.h_beta[0].shape[0],
                              tuple(h.shape[1] for h in self.h_beta))
 
-    def check_shapes(self, config):
-        if len(self.h_alpha) != config.num_alpha or len(self.g_cross) != config.num_alpha:
-            raise ConfigError("channel set has the wrong number of downlink users")
-        if len(self.h_beta) != config.num_beta:
-            raise ConfigError("channel set has the wrong number of uplink users")
-        for k, n in enumerate(config.n_alpha):
-            if self.h_alpha[k].shape != (n, config.m_alpha):
-                raise ConfigError(f"H_alpha[{k + 1}] has shape {self.h_alpha[k].shape}, "
-                                  f"expected {(n, config.m_alpha)}")
-            if len(self.g_cross[k]) != config.num_beta:
-                raise ConfigError(f"G row {k + 1} has the wrong number of uplink users")
-            for l, nb in enumerate(config.n_beta):
-                if self.g_cross[k][l].shape != (n, nb):
-                    raise ConfigError(
-                        f"G[{k + 1}][{l + 1}] has shape {self.g_cross[k][l].shape}, "
-                        f"expected {(n, nb)}")
-        for l, nb in enumerate(config.n_beta):
-            if self.h_beta[l].shape != (config.m_beta, nb):
-                raise ConfigError(f"H_beta[{l + 1}] has shape {self.h_beta[l].shape}, "
-                                  f"expected {(config.m_beta, nb)}")
-        if self.g_bs.shape != (config.m_beta, config.m_alpha):
-            raise ConfigError(f"G_bs has shape {self.g_bs.shape}, "
-                              f"expected {(config.m_beta, config.m_alpha)}")
-        return self
-
 
 def sample_channels(config, rng):
     """Draw one i.i.d. CN(0,1) realization of every channel matrix.

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ia_rtdd as ia
-from ia_rtdd import cli
+from ia_rtdd import cli, evaluate
 from ia_rtdd.cli import main, parse_snr_grid
 from ia_rtdd.errors import IaRtddError
 
@@ -141,6 +141,42 @@ def test_simulate_sumrate_json_mirror(small_config, capsys):
     data = json.loads(capsys.readouterr().out)
     assert len(data["rows"]) == 1
     assert data["rows"][0]["trials_ok"] == 1
+
+
+def _strict_json(text):
+    """Parse JSON that must hold no NaN/Infinity token."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_output_is_strict(small_config, capsys, monkeypatch):
+    # no streams anywhere: no margin to take a minimum of
+    assert main(["construct", "--config", small_config, "--dof", "0,0;0,0"]) == 0
+    assert _strict_json(capsys.readouterr().out)["min_margin"] is None
+
+    # every trial fails at the point: no rate to average
+    def fail(*args):
+        raise ia.SingularSystemError("forced failure")
+
+    monkeypatch.setattr(evaluate, "complete_beamformers", fail)
+    assert main(["simulate-sumrate", "--config", small_config, "--dof", "2,2;1,1",
+                 "--snr", "10", "--trials", "1", "--iters", "5",
+                 "--format", "json"]) == 0
+    row = _strict_json(capsys.readouterr().out)["rows"][0]
+    assert row["trials_failed"] == 1
+    assert row["mean_sum_rate"] is None
+    assert row["mean_rate_alpha"] == [None, None]
+    assert row["baseline_single_cell"] > 0
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("search", "--dof=1;1"), ("symmetric", "--seed=1"), ("construct", "--strict"),
+    ("simulate-leakage", "--strict"), ("simulate-sumrate", "--strict")])
+def test_flags_a_command_does_not_read_exit_2(small_config, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", small_config, flag])
+    assert exc.value.code == 2
 
 
 def test_input_errors_exit_2(small_config, tmp_path, capsys, monkeypatch):

@@ -104,8 +104,8 @@ def test_alignment_loop_runs_no_member():
 
 def test_alignment_loop_grows_its_records_bit_for_bit():
     # a slowly converging network, so the records grow past their first 1024
-    # rows twice, the second time to max_iters; the members leave the stack
-    # at four different iterations, before and after each growth
+    # rows twice, the second time to max_iters; the members stop at four
+    # different iterations, before and after each growth
     rng = np.random.default_rng(4)
     n, d = [4, 4], [2, 2]
     g_cross = [[rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

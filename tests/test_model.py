@@ -78,12 +78,12 @@ class TestSampling:
         assert not np.array_equal(a.g_bs, c.g_bs)
 
     def test_simulation_network_shapes(self):
+        # SIM is (12,(8,8,8,8))x(18,(4,4,4)): every matrix, by user
         ch = sample_channels(SIM, RngStream(0, 0))
-        ch.check_shapes(SIM)
-        assert ch.h_alpha[0].shape == (8, 12)
+        assert [h.shape for h in ch.h_alpha] == [(8, 12)] * 4
+        assert [h.shape for h in ch.h_beta] == [(18, 4)] * 3
+        assert [[g.shape for g in row] for row in ch.g_cross] == [[(8, 4)] * 3] * 4
         assert ch.g_bs.shape == (18, 12)
-        assert ch.g_cross[3][2].shape == (8, 4)
-        assert ch.h_beta[1].shape == (18, 4)
 
     def test_moments(self):
         # 1e5 entries: law-of-large-numbers bounds on mean and variance
