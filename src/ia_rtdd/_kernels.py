@@ -6,6 +6,8 @@ feasibility conditions.  The alignment loop takes and returns the filters
 as per-user tuples, the form `beamform` uses everywhere else.
 """
 
+import functools
+
 import numpy as np
 
 BACKEND = "numpy"
@@ -39,61 +41,86 @@ def fix_column_phases(mat):
 # subset-pair scan
 # ---------------------------------------------------------------------------
 
-def _mask_key(m):
-    """Sorted-tuple view of a bitmask, usable as a lexicographic sort key."""
-    out = []
-    j = 0
-    while m:
-        if m & 1:
-            out.append(j)
-        m >>= 1
-        j += 1
-    return tuple(out)
+@functools.lru_cache(maxsize=None)
+def _lex_rank(size):
+    """Rank of every bitmask over ``size`` users in the lexicographic order of
+    its sorted user indices, e.g. () < (0,) < (0, 1) < (1,) for two users.
+
+    The subsets starting after user ``p`` come in blocks by their first user
+    ``f``, each block 2^(size - f - 1) long after the empty subset, so taking
+    user ``j`` next adds ``1 + 2^(size - p - 1) - 2^(size - j)``.
+    """
+    masks = np.arange(1 << size)
+    rank = np.zeros(1 << size, dtype=np.int64)
+    after = np.full(1 << size, 1 << size)          # 2^(size - p - 1)
+    for j in range(size):
+        taken = (masks >> j & 1).astype(bool)
+        rank[taken] += 1 + after[taken] - (1 << (size - j))
+        after[taken] = 1 << (size - j - 1)
+    rank.setflags(write=False)
+    return rank
 
 
 def _side_sums(d, n):
-    size = len(d)
-    sd = np.zeros(1 << size, dtype=np.int64)
+    """Per-subset sums of d, N and d(N - d) over the users on the last axis
+    of ``d``, one entry per bitmask; leading axes of ``d`` stack
+    allocations, and the sums of N are shared as one 1-d array."""
+    d = np.asarray(d, dtype=np.int64)
+    n = np.asarray(n, dtype=np.int64)
+    size = d.shape[-1]
+    sd = np.zeros(d.shape[:-1] + (1 << size,), dtype=np.int64)
     sn = np.zeros(1 << size, dtype=np.int64)
-    sv = np.zeros(1 << size, dtype=np.int64)
+    sv = np.zeros_like(sd)
+    v = d * (n - d)
     half = 1
     for j in range(size):
-        sd[half:2 * half] = sd[:half] + d[j]
+        sd[..., half:2 * half] = sd[..., :half] + d[..., j, None]
         sn[half:2 * half] = sn[:half] + n[j]
-        sv[half:2 * half] = sv[:half] + d[j] * (n[j] - d[j])
+        sv[..., half:2 * half] = sv[..., :half] + v[..., j, None]
         half *= 2
     return sd, sn, sv
 
 
-def _lex_min_pair(viol):
-    rows = np.flatnonzero(viol.any(axis=1))
-    if rows.size == 0:
-        return None
-    ma = min(rows.tolist(), key=_mask_key)
-    mb = min(np.flatnonzero(viol[ma]).tolist(), key=_mask_key)
-    return ma, mb
-
-
-def subset_scan(d_a, n_a, d_b, n_b):
-    """Find the lexicographically first violating subset pair per condition.
+def subset_violations(d_a, n_a, d_b, n_b):
+    """Which subset pairs violate each per-subset condition.
 
     For subsets ``Ia`` of the downlink users and ``Ib`` of the uplink users:
 
     * antenna bound:   sum(d, Ia) + sum(d, Ib) <= max(sum(N, Ia), sum(N, Ib))
     * counting bound:  sum(d, Ia) * sum(d, Ib) <= sum(d(N-d), Ia) + sum(d(N-d), Ib)
 
-    Returns ``(bound_pair, count_pair)`` where each entry is either ``None``
-    or an ``(alpha_mask, beta_mask)`` tuple of Python ints.
+    ``d_a`` and ``d_b`` may stack allocations on matching leading axes.
+    Returns ``(bound, count)``, boolean arrays of shape
+    ``(..., 2^K, 2^L)`` indexed by ``(alpha_mask, beta_mask)``.
     """
     sd_a, sn_a, sv_a = _side_sums(d_a, n_a)
     sd_b, sn_b, sv_b = _side_sums(d_b, n_b)
-    tot = sd_a[:, None] + sd_b[None, :]
-    cap = np.maximum(sn_a[:, None], sn_b[None, :])
-    bound = _lex_min_pair(tot > cap)
-    eqs = sd_a[:, None] * sd_b[None, :]
-    vars_ = sv_a[:, None] + sv_b[None, :]
-    count = _lex_min_pair(eqs > vars_)
+    sd_a, sv_a = sd_a[..., :, None], sv_a[..., :, None]
+    sd_b, sv_b = sd_b[..., None, :], sv_b[..., None, :]
+    bound = sd_a + sd_b > np.maximum(sn_a[:, None], sn_b[None, :])
+    count = sd_a * sd_b > sv_a + sv_b
     return bound, count
+
+
+def _lex_min_pair(viol):
+    rows = np.flatnonzero(viol.any(axis=1))
+    if rows.size == 0:
+        return None
+    ma = int(rows[_lex_rank(viol.shape[0].bit_length() - 1)[rows].argmin()])
+    cols = np.flatnonzero(viol[ma])
+    mb = int(cols[_lex_rank(viol.shape[1].bit_length() - 1)[cols].argmin()])
+    return ma, mb
+
+
+def subset_scan(d_a, n_a, d_b, n_b):
+    """Find the lexicographically first violating subset pair per condition
+    of `subset_violations`, for one allocation.
+
+    Returns ``(bound_pair, count_pair)`` where each entry is either ``None``
+    or an ``(alpha_mask, beta_mask)`` tuple of Python ints.
+    """
+    bound, count = subset_violations(d_a, n_a, d_b, n_b)
+    return _lex_min_pair(bound), _lex_min_pair(count)
 
 
 # ---------------------------------------------------------------------------

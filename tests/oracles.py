@@ -3,9 +3,11 @@
 Everything here is written with itertools loops straight from the condition
 definitions, deliberately sharing no code with the package internals; the
 rate reference shares only the log-determinant step, since what it checks is
-which links are summed and in what order, and the sweep reference shares the
+which links are summed and in what order, the sweep reference shares the
 pipeline steps it calls per trial, since what it checks is the order of the
-draws and folds around them.
+draws and folds around them, and the search reference shares the scalar
+deciders, since what it checks is the order and count of the allocations
+tried.
 """
 
 import itertools
@@ -18,7 +20,8 @@ from ia_rtdd.errors import NumericalError, SingularSystemError
 from ia_rtdd.evaluate import (SweepResult, _log2_det_ratio, _round_robin_streams,
                               baseline_point_to_point, power_profile_for_snr,
                               snr_to_power)
-from ia_rtdd.model import RngStream, sample_channels
+from ia_rtdd.feasibility import SearchResult, check_necessary, check_sufficient
+from ia_rtdd.model import DofAllocation, RngStream, sample_channels
 
 
 def iter_subset_pairs(num_alpha, num_beta):
@@ -311,3 +314,58 @@ def per_point_sweep(config, dof, snr_grid_db, trials, opts=None, seed=0):
                        tuple(rows["alpha"]), tuple(rows["beta"]),
                        tuple(rows["single"]), tuple(rows["p2p"]),
                        tuple(rows["ok"]), tuple(rows["failed"]), trials, seed)
+
+
+def iter_allocations(config, total):
+    """All allocations with the given sum, lexicographically ascending, with
+    the per-user and per-cell stream budgets pruned."""
+    caps = list(config.n_alpha) + list(config.n_beta)
+    num_a = config.num_alpha
+    n = len(caps)
+    suffix = [0] * (n + 1)
+    for i in reversed(range(n)):
+        suffix[i] = suffix[i + 1] + caps[i]
+    buf = [0] * n
+
+    def rec(i, remaining, a_used, b_used):
+        if i == n:
+            if remaining == 0:
+                yield DofAllocation(tuple(buf[:num_a]), tuple(buf[num_a:]))
+            return
+        hi = min(caps[i], remaining)
+        if i < num_a:
+            hi = min(hi, config.m_alpha - a_used)
+        else:
+            hi = min(hi, config.m_beta - b_used)
+        lo = max(0, remaining - suffix[i + 1])
+        for v in range(lo, hi + 1):
+            buf[i] = v
+            if i < num_a:
+                yield from rec(i + 1, remaining - v, a_used + v, b_used)
+            else:
+                yield from rec(i + 1, remaining - v, a_used, b_used + v)
+        buf[i] = 0
+
+    yield from rec(0, total, 0, 0)
+
+
+def reference_search(config, mode, trials=5, rng=None, subset_limit=None):
+    """One scalar decider call per allocation, the reference for
+    `feasibility.search_max_sum_dof` (without its guards), so the two must
+    return equal results."""
+    if rng is None:
+        rng = RngStream(0, 0)
+    cap = min(max(config.m_alpha, config.m_beta),
+              min(config.m_alpha, sum(config.n_alpha))
+              + min(config.m_beta, sum(config.n_beta)))
+    examined = 0
+    for total in range(cap, -1, -1):
+        for dof in iter_allocations(config, total):
+            examined += 1
+            if mode == "necessary":
+                report = check_necessary(config, dof, subset_limit)
+            else:
+                report = check_sufficient(config, dof, trials, rng)
+            if report.verdict:
+                return SearchResult(mode, total, dof, report, examined)
+    raise AssertionError("unreachable: the all-zero allocation always passes")

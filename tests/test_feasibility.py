@@ -1,3 +1,4 @@
+import json
 from unittest import mock
 
 import numpy as np
@@ -7,10 +8,11 @@ from hypothesis import strategies as st
 
 import ia_rtdd as ia
 from ia_rtdd import (BudgetError, ConfigError, DofAllocation, MatchingError,
-                     NetworkConfig, RngStream, SubsetLimitError, _kernels)
+                     NetworkConfig, RngStream, SubsetLimitError, _kernels,
+                     feasibility)
 
-from oracles import (brute_necessary, brute_symmetric_counting,
-                     per_block_alignment_matrix)
+from oracles import (brute_necessary, brute_symmetric_counting, iter_allocations,
+                     per_block_alignment_matrix, reference_search)
 
 EX1 = NetworkConfig(10, (4, 6, 6), 13, (3, 6))
 EX2 = NetworkConfig(8, (2, 3, 8), 12, (3, 7))
@@ -434,6 +436,35 @@ class TestSearch:
         with pytest.raises(BudgetError):
             ia.search_max_sum_dof(cfg, "necessary", budget=1000)
 
+    def test_budget_must_be_an_integer(self):
+        # a budget is never truncated: 2.5 is not 2, and True is not 1
+        cfg = NetworkConfig(2, (1,), 2, (1,))
+        for bad in ("x", None, True, 2.5, [4]):
+            with pytest.raises(ConfigError, match="budget must be an integer"):
+                ia.search_max_sum_dof(cfg, "necessary", budget=bad)
+        # an integral float is its integer, as for every other count
+        assert ia.search_max_sum_dof(cfg, "necessary", budget=4.0).d_sum == 1
+        with pytest.raises(BudgetError, match="budget of 3"):
+            ia.search_max_sum_dof(cfg, "necessary", budget=np.int64(3))
+
+    def test_guards_come_before_the_search(self):
+        # the budget guard first, then the subset guard (necessary mode) or
+        # the trial count (sufficient mode), all before any allocation is tried
+        big = NetworkConfig(2, (2,) * 11, 2, (2,) * 10)
+        wide = NetworkConfig(2, (1,) * 11, 2, (1,) * 10)
+        with mock.patch.object(feasibility, "check_necessary") as nec, \
+                mock.patch.object(feasibility, "check_sufficient") as suf:
+            for mode in ("necessary", "sufficient"):
+                with pytest.raises(BudgetError):
+                    ia.search_max_sum_dof(big, mode, trials=0, subset_limit=20)
+            with pytest.raises(SubsetLimitError):
+                ia.search_max_sum_dof(wide, "necessary", budget=1 << 21)
+            for bad in (0, 2.5, "5"):
+                with pytest.raises(ConfigError, match="trials"):
+                    ia.search_max_sum_dof(wide, "sufficient", trials=bad,
+                                          budget=1 << 21)
+        assert nec.call_count == suf.call_count == 0
+
     def test_mode_names(self):
         assert ia.search_max_sum_dof(EX1, "necessary").d_sum == 13
         for mode in ("bogus", "necessary-bound", "sufficient-certified",
@@ -448,6 +479,48 @@ class TestSearch:
         nec = ia.search_max_sum_dof(cfg, "necessary")
         suf = ia.search_max_sum_dof(cfg, "sufficient", rng=RngStream(seed, 0))
         assert suf.d_sum <= nec.d_sum
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_allocation_blocks_follow_the_reference_order(self, seed):
+        # every allocation of each sum, in the reference's order, whatever
+        # the block size
+        rng = np.random.default_rng(7000 + seed)
+        cfg = random_small_config(rng, max_users=3, max_antennas=5)
+        for total in range(sum(cfg.n_alpha) + sum(cfg.n_beta) + 1):
+            want = [dof.d_alpha + dof.d_beta for dof in iter_allocations(cfg, total)]
+            for rows in (1, 3, 1 << 20):
+                blocks = list(feasibility._allocation_blocks(cfg, total, rows))
+                assert all(0 < len(b) <= rows for b in blocks)
+                got = [tuple(row) for b in blocks for row in b.tolist()]
+                assert got == want
+
+    @pytest.mark.parametrize("mode", ["necessary", "sufficient"])
+    @pytest.mark.parametrize("name", ["EX1", "EX2", "dual_EX1", "EX4", "SIM"])
+    def test_matches_reference_search_on_benchmark_networks(self, name, mode):
+        cfg = {"EX1": EX1, "EX2": EX2, "dual_EX1": ia.dual_config(EX1),
+               "EX4": EX4, "SIM": SIM}[name]
+        for seed in (0, 42):
+            got = ia.search_max_sum_dof(cfg, mode, rng=RngStream(seed, 0))
+            want = reference_search(cfg, mode, rng=RngStream(seed, 0))
+            assert type(got.examined) is int
+            assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from(["necessary", "sufficient"]))
+    def test_matches_reference_search(self, seed, mode):
+        # generated networks of up to 3+3 users, once with the default block
+        # size and once with blocks of one allocation, so that the examined
+        # count crosses block boundaries
+        rng = np.random.default_rng(seed)
+        cfg = random_small_config(rng, max_users=3, max_antennas=4)
+        trials = int(rng.integers(1, 4))
+        want = json.dumps(reference_search(cfg, mode, trials,
+                                           RngStream(seed, 0)).to_dict())
+        assert json.dumps(ia.search_max_sum_dof(
+            cfg, mode, trials, RngStream(seed, 0)).to_dict()) == want
+        with mock.patch.object(feasibility, "_SEARCH_CHUNK", 1):
+            assert json.dumps(ia.search_max_sum_dof(
+                cfg, mode, trials, RngStream(seed, 0)).to_dict()) == want
 
     @pytest.mark.parametrize("seed", range(20))
     def test_necessary_duality_invariance(self, seed):

@@ -15,9 +15,26 @@ def _indices(mask):
 
 
 def test_mask_lex_order_matches_tuple_order():
-    keyed = sorted(range(32), key=_indices)
-    for a, b in zip(keyed, keyed[1:]):
-        assert _kernels._mask_key(a) < _kernels._mask_key(b)
+    # the rank table orders the masks of 0-7 users as their sorted index tuples
+    for size in range(8):
+        rank = _kernels._lex_rank(size)
+        keyed = sorted(range(1 << size), key=_indices)
+        assert rank.tolist() == [keyed.index(m) for m in range(1 << size)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_stacked_violations_match_one_allocation_at_a_time(seed):
+    rng = np.random.default_rng(200 + seed)
+    k, l = (int(v) for v in rng.integers(1, 5, size=2))
+    n_a, n_b = rng.integers(1, 7, size=k), rng.integers(1, 7, size=l)
+    d_a = rng.integers(0, n_a + 1, size=(6, k))
+    d_b = rng.integers(0, n_b + 1, size=(6, l))
+    bound, count = _kernels.subset_violations(d_a, n_a, d_b, n_b)
+    assert bound.shape == count.shape == (6, 1 << k, 1 << l)
+    for i in range(6):
+        one_bound, one_count = _kernels.subset_violations(d_a[i], n_a, d_b[i], n_b)
+        assert np.array_equal(bound[i], one_bound)
+        assert np.array_equal(count[i], one_count)
 
 
 def _assert_scan_matches_oracle(rng, max_users, max_antennas):
