@@ -223,13 +223,10 @@ def alignment_loop(g_cross, n_alpha, n_beta, d_alpha, d_beta,
         for i, group in enumerate(ga):
             vals, u[i] = _weakest(members, group, g[i], w_b, v, order_b)
             # a user's leakage adds its kept positive eigenvalues in order
+            # (cumsum adds in order; NaN counts as 0.0)
             (_, da), ks = group
-            for a, member_vals in enumerate(vals[..., :da].tolist()):
-                for k, user_vals in zip(ks, member_vals):
-                    leak = 0.0
-                    for x in user_vals:
-                        leak += x if x > 0.0 else 0.0
-                    per_user[it, a, k] = leak
+            kept = vals[..., :da]
+            per_user[it][:, ks] = np.where(kept > 0.0, kept, 0.0).cumsum(-1)[..., -1]
         # cumsum adds in user order, as a per-user loop would; a user without
         # streams adds an exact 0.0
         totals[it] = per_user[it].cumsum(-1)[:, -1]

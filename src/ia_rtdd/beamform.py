@@ -8,11 +8,12 @@ turn, at the eigenvectors of their interference covariance with the
 smallest eigenvalues; those covariances and updates exist only inside
 `_kernels.alignment_loop`.  Stage 2 (`zero_force_step2`, completed with
 `normalize` by `complete_beamformers`) then zero-forces the remaining couplings
-(intra-cell interference in both cells and the BS-to-BS link) through
-pseudo-inverses of stacked effective channels.  `residual_report` measures
-how well a finished beamformer set satisfies every alignment condition.  It
-and the rates of `evaluate` read the effective links ``U_r^H H_rt V_t`` of
-every receiver r and transmitter t from one table, `_link_blocks`.
+(intra-cell interference in both cells and the BS-to-BS link) with two
+pseudo-inverses of stacked effective channels, the larger base station's
+second.  `residual_report` measures how well a finished beamformer set
+satisfies every alignment condition.  It and the rates of `evaluate` read
+the effective links ``U_r^H H_rt V_t`` of every receiver r and transmitter t
+from one table, `_link_blocks`.
 """
 
 import itertools
@@ -167,11 +168,6 @@ def _guarded_pinv(a, branch):
     return (vh.conj().T * (1.0 / s)[None, :]) @ u.conj().T
 
 
-def _no_streams(rows):
-    """Zero-column filters, one per user of a cell without streams."""
-    return tuple(np.zeros((r, 0), dtype=np.complex128) for r in rows)
-
-
 def _split(mat, widths, axis):
     """Consecutive blocks of ``widths`` along ``axis`` (0 or 1), as views: a
     product with a copy can round differently, e.g. in the single-cell baseline."""
@@ -182,57 +178,37 @@ def _split(mat, widths, axis):
 def zero_force_step2(channels, dof, u_alpha, v_beta):
     """Zero-force the remaining couplings given the stage-1 filters.
 
-    When the downlink BS has at least as many antennas as the uplink BS, the
-    uplink receive filters come first (left pseudo-inverse of the stacked
-    uplink effective channels) and the downlink precoders then null both the
-    intra-cell and the BS-to-BS interference (leading columns of the right
-    pseudo-inverse of the combined stack).  Otherwise the mirrored order is
-    used.  Outputs are unnormalized; run `normalize` afterwards.
+    The stacked effective channels are ``a = [U_k^H H_k]`` (downlink users
+    stacked by rows) and ``b = [H_l V_l]`` (uplink users side by side).  The
+    larger base station solves second and also nulls the BS-to-BS link: when
+    M_alpha >= M_beta the uplink receive filters are the left pseudo-inverse
+    ``p`` of ``b`` and the downlink precoders the leading columns of the right
+    pseudo-inverse of ``[a; p G]``; otherwise the precoders are the right
+    pseudo-inverse ``r`` of ``a`` and the receive filters the leading rows of
+    the left pseudo-inverse of ``[b, G r]``.  A cell without streams is an
+    empty block, and the coupling term is stacked only when the cell solved
+    second has streams.  Outputs are unnormalized; run `normalize` afterwards.
 
     Returns ``(v_alpha, u_beta)``.
     """
     config = channels.config
-    m_alpha, m_beta = config.m_alpha, config.m_beta
-    K, L = config.num_alpha, config.num_beta
-    da, db = dof.d_alpha, dof.d_beta
-    sum_a, sum_b = sum(da), sum(db)
-
-    eff_beta = [channels.h_beta[l] @ v_beta[l] for l in range(L)]
-    eff_alpha = [u_alpha[k].conj().T @ channels.h_alpha[k] for k in range(K)]
-
-    if m_alpha >= m_beta:
-        if sum_b:
-            h_up = np.hstack(eff_beta)
-            p_up = _guarded_pinv(h_up, "downlink-heavy")
-        else:
-            p_up = np.zeros((0, m_beta), dtype=np.complex128)
-        u_beta = tuple(blk.conj().T for blk in _split(p_up, db, 0))
-        stack = eff_alpha + ([p_up @ channels.g_bs] if sum_b else [])
-        if sum_a + sum_b == 0:
-            return _no_streams([m_alpha] * K), u_beta
-        h_dn = np.vstack(stack)
-        r = _guarded_pinv(h_dn, "downlink-heavy")
-        v_alpha = _split(r[:, :sum_a], da, 1)
-        return v_alpha, u_beta
-
-    if sum_a:
-        h_dn = np.vstack(eff_alpha)
-        r = _guarded_pinv(h_dn, "uplink-heavy")
-        v_alpha = _split(r, da, 1)
+    sum_a, sum_b = dof.sum_alpha, dof.sum_beta
+    g_bs = channels.g_bs
+    a = np.vstack([u.conj().T @ h for u, h in zip(u_alpha, channels.h_alpha)])
+    b = np.hstack([h @ v for h, v in zip(channels.h_beta, v_beta)])
+    if config.m_alpha >= config.m_beta:
+        p = _guarded_pinv(b, "downlink-heavy")
+        r = _guarded_pinv(np.vstack([a, p @ g_bs]) if sum_a else a,
+                          "downlink-heavy")[:, :sum_a]
     else:
-        v_alpha = _no_streams([m_alpha] * K)
-    stack = eff_beta + ([channels.g_bs @ np.hstack(v_alpha)] if sum_a else [])
-    if sum_a + sum_b == 0:
-        return v_alpha, _no_streams([m_beta] * L)
-    h_up = np.hstack(stack)
-    p_up = _guarded_pinv(h_up, "uplink-heavy")
-    u_beta = tuple(blk.conj().T for blk in _split(p_up[:sum_b, :], db, 0))
-    return v_alpha, u_beta
+        r = _guarded_pinv(a, "uplink-heavy")
+        p = _guarded_pinv(np.hstack([b, g_bs @ r]) if sum_b else b,
+                          "uplink-heavy")[:sum_b]
+    return (_split(r, dof.d_alpha, 1),
+            tuple(blk.conj().T for blk in _split(p, dof.d_beta, 0)))
 
 
 def _normalize_matrix(mat, what):
-    if mat.shape[1] == 0:
-        return mat.copy()
     norms = np.linalg.norm(mat, axis=0)
     if np.any(~(norms > 0)):
         raise ConfigError(f"zero column in {what}")

@@ -22,7 +22,7 @@ import numpy as np
 from .beamform import (FLOAT_FORMAT, BeamformerSet, PowerProfile,
                        complete_beamformers, construct_beamformers,
                        iterate_alignment_batch, _guarded_pinv, _link_blocks,
-                       _no_streams, _normalize_matrix, _split)
+                       _normalize_matrix, _split)
 from .errors import ConfigError, NumericalError, SingularSystemError
 from .model import (RngStream, sample_channels, validate_config,
                     validate_trials)
@@ -138,8 +138,9 @@ def _single_cell_links(channels, config):
     """Zero-forcing link tables of each cell running alone, and the number of
     downlink users with streams; none of them depends on the SNR.
 
-    Each cell's filters go into a `BeamformerSet` whose other cell has no
-    streams, so its table holds the links `_user_rates` reads.
+    Each cell's filters go into a `BeamformerSet` without the other cell, so
+    its table holds the K x K downlink or L x L uplink links `_user_rates`
+    reads.
     """
     streams = _round_robin_streams(config.n_alpha, config.m_alpha)
     u_alpha = tuple(np.linalg.svd(h)[0][:, :s]
@@ -147,9 +148,7 @@ def _single_cell_links(channels, config):
     rows = [u.conj().T @ h for u, h in zip(u_alpha, channels.h_alpha)]
     pre = _guarded_pinv(np.vstack(rows), "single-cell downlink")
     v_alpha = _split(_normalize_matrix(pre, "single-cell precoder"), streams, 1)
-    down = BeamformerSet(u_alpha, v_alpha,
-                         _no_streams([config.m_beta] * config.num_beta),
-                         _no_streams(config.n_beta))
+    down = BeamformerSet(u_alpha, v_alpha, (), ())
     active = sum(1 for s in streams if s)
 
     streams = _round_robin_streams(config.n_beta, config.m_beta)
@@ -159,9 +158,7 @@ def _single_cell_links(channels, config):
     p_up = _guarded_pinv(np.hstack(blocks), "single-cell uplink")
     u_beta = tuple(_normalize_matrix(blk.conj().T, "single-cell postcoder")
                    for blk in _split(p_up, streams, 0))
-    up = BeamformerSet(_no_streams(config.n_alpha),
-                       _no_streams([config.m_alpha] * config.num_alpha),
-                       u_beta, v_beta)
+    up = BeamformerSet((), (), u_beta, v_beta)
     return _link_blocks(channels, down), _link_blocks(channels, up), active
 
 
@@ -170,11 +167,9 @@ def _single_cell_rates(links, config, power):
     `_single_cell_links` at linear power ``power``: the downlink BS splits it
     over its active users, every uplink user transmits at it."""
     down, up, active = links
-    K, L = config.num_alpha, config.num_beta
-    p_user = power / active
-    rates_a = _user_rates(down, PowerProfile((p_user,) * K, (0.0,) * L))
-    rates_b = _user_rates(up, PowerProfile((0.0,) * K, (power,) * L))
-    return sum(rates_a[:K]), sum(rates_b[K:])
+    rates_a = _user_rates(down, PowerProfile((power / active,) * config.num_alpha, ()))
+    rates_b = _user_rates(up, PowerProfile((), (power,) * config.num_beta))
+    return sum(rates_a), sum(rates_b)
 
 
 def baseline_single_cell(config, snr_db, trials, seed):

@@ -222,24 +222,20 @@ def check_sufficient(config, dof, trials=DEFAULT_RANK_TRIALS, rng=None):
         return _make_report(conditions)
     rows, cols = _alignment_offsets(config, dof)
     n_rows, n_cols = rows[-1], cols[-1]
-    witness = {"rows": n_rows, "cols": n_cols}
-    if n_rows == 0:
-        witness.update({"ranks": [], "full_rank_trials": 0, "trials": 0,
-                        "vacuous": True})
-        conditions.append(ConditionResult("rank", True, witness))
-        return _make_report(conditions)
-    if n_rows > n_cols:
-        witness.update({"ranks": [], "full_rank_trials": 0, "trials": 0,
-                        "structurally_impossible": True})
-        conditions.append(ConditionResult("rank", False, witness))
-        return _make_report(conditions)
     ranks = []
-    for t in range(trials):
-        channels = sample_channels(config, rng.shifted(t))
-        ranks.append(numeric_rank(build_alignment_matrix(channels, dof)))
+    if 0 < n_rows <= n_cols:
+        for t in range(trials):
+            channels = sample_channels(config, rng.shifted(t))
+            ranks.append(numeric_rank(build_alignment_matrix(channels, dof)))
     full = sum(1 for r in ranks if r == n_rows)
-    witness.update({"ranks": ranks, "full_rank_trials": full, "trials": trials})
-    conditions.append(ConditionResult("rank", 2 * full > trials, witness))
+    witness = {"rows": n_rows, "cols": n_cols, "ranks": ranks,
+               "full_rank_trials": full, "trials": len(ranks)}
+    if n_rows == 0:
+        witness["vacuous"] = True
+    elif n_rows > n_cols:
+        witness["structurally_impossible"] = True
+    passed = n_rows == 0 or 2 * full > len(ranks)
+    conditions.append(ConditionResult("rank", passed, witness))
     return _make_report(conditions)
 
 
@@ -363,12 +359,14 @@ def construct_special_realization(config, d_alpha, d_beta):
     spare block to zero.  Direct and BS-to-BS channels are returned as zeros
     (only the cross links matter here).
 
-    Postconditions verified before returning: with the trivial filters
-    [I; 0] the cross-interference residual is exactly zero, and every link
-    depends on exactly one variable block, each block owned by one link (so
-    the first-order coefficient map is a block permutation, hence
-    non-singular).
+    Postconditions verified before returning, on the alignment matrix at the
+    symmetric allocation: with the trivial filters [I; 0] the corner blocks,
+    and so the cross-interference residual, are exactly zero, and every row
+    has one nonzero entry and no column more than one (every link depends on
+    exactly one variable block, each block owned by one link), so the matrix
+    is a block permutation, hence of full row rank.
     """
+    d_alpha, d_beta, dof = _expand_symmetric(config, d_alpha, d_beta)
     result = hall_condition(config, d_alpha, d_beta)
     if not result.passed:
         raise MatchingError(
@@ -389,37 +387,22 @@ def construct_special_realization(config, d_alpha, d_beta):
             row.append(g)
         cross.append(tuple(row))
 
-    used = set()
-    for k in range(config.num_alpha):
-        for l in range(config.num_beta):
-            g = cross[k][l]
-            if np.any(g[:d_alpha, :d_beta]):
-                raise MatchingError("corner block not zero in special realization")
-            nonzero = 0
-            for i in range(result.a_counts[k]):
-                if np.any(g[d_alpha + i * d_beta:d_alpha + (i + 1) * d_beta, :d_beta]):
-                    nonzero += 1
-            for j in range(result.b_counts[l]):
-                if np.any(g[:d_alpha, d_beta + j * d_alpha:d_beta + (j + 1) * d_alpha]):
-                    nonzero += 1
-            if nonzero != 1:
-                raise MatchingError(
-                    f"link ({k + 1},{l + 1}) depends on {nonzero} variable blocks")
-            used.add(result.matching[(k, l)])
-    if len(used) != config.num_alpha * config.num_beta:
-        raise MatchingError("matched variable blocks are not distinct")
-
     def zeros(r, c):
         z = np.zeros((r, c), dtype=np.complex128)
         z.setflags(write=False)
         return z
 
-    return ChannelSet(
+    channels = ChannelSet(
         h_alpha=tuple(zeros(n, config.m_alpha) for n in config.n_alpha),
         g_cross=tuple(cross),
         h_beta=tuple(zeros(config.m_beta, n) for n in config.n_beta),
         g_bs=zeros(config.m_beta, config.m_alpha),
     )
+    nonzero = build_alignment_matrix(channels, dof) != 0
+    if (any(np.any(g[:d_alpha, :d_beta]) for row in cross for g in row)
+            or np.any(nonzero.sum(axis=1) != 1) or np.any(nonzero.sum(axis=0) > 1)):
+        raise MatchingError("special realization is not a block permutation")
+    return channels
 
 
 # ---------------------------------------------------------------------------

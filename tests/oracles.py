@@ -5,9 +5,10 @@ definitions, deliberately sharing no code with the package internals; the
 rate reference shares only the log-determinant step, since what it checks is
 which links are summed and in what order, the sweep reference shares the
 pipeline steps it calls per trial, since what it checks is the order of the
-draws and folds around them, and the search reference shares the scalar
+draws and folds around them, the search reference shares the scalar
 deciders, since what it checks is the order and count of the allocations
-tried.
+tried, and the stage-2 reference shares the guarded pseudo-inverse and the
+block split, since what it checks is which blocks are stacked.
 """
 
 import itertools
@@ -15,7 +16,7 @@ import itertools
 import numpy as np
 
 from ia_rtdd.beamform import (BeamformerSet, PowerProfile, construct_beamformers,
-                              _guarded_pinv, _no_streams, _normalize_matrix, _split)
+                              _guarded_pinv, _normalize_matrix, _split)
 from ia_rtdd.errors import NumericalError, SingularSystemError
 from ia_rtdd.evaluate import (SweepResult, _log2_det_ratio, _round_robin_streams,
                               baseline_point_to_point, power_profile_for_snr,
@@ -176,6 +177,58 @@ def per_user_alignment_loop(g_cross, n_alpha, n_beta, d_alpha, d_beta,
     converged = totals[-1] <= rel_stop * totals[0]
     return (tuple(u), tuple(v), np.array(totals), np.array(per_user),
             len(totals), bool(converged))
+
+
+def _no_streams(rows):
+    """Zero-column filters, one per user of a cell without streams."""
+    return tuple(np.zeros((r, 0), dtype=np.complex128) for r in rows)
+
+
+def two_branch_zero_force_step2(channels, dof, u_alpha, v_beta):
+    """Stage 2 as two mirrored branches with a special case for each cell
+    without streams, the reference for `beamform.zero_force_step2`.
+
+    Same pseudo-inverses on the same operands, so the two must agree bit for
+    bit; unlike it, a cell without streams still stacks the coupling term
+    when the other cell solves first.  Returns ``(v_alpha, u_beta)``.
+    """
+    config = channels.config
+    m_alpha, m_beta = config.m_alpha, config.m_beta
+    K, L = config.num_alpha, config.num_beta
+    da, db = dof.d_alpha, dof.d_beta
+    sum_a, sum_b = sum(da), sum(db)
+
+    eff_beta = [channels.h_beta[l] @ v_beta[l] for l in range(L)]
+    eff_alpha = [u_alpha[k].conj().T @ channels.h_alpha[k] for k in range(K)]
+
+    if m_alpha >= m_beta:
+        if sum_b:
+            h_up = np.hstack(eff_beta)
+            p_up = _guarded_pinv(h_up, "downlink-heavy")
+        else:
+            p_up = np.zeros((0, m_beta), dtype=np.complex128)
+        u_beta = tuple(blk.conj().T for blk in _split(p_up, db, 0))
+        stack = eff_alpha + ([p_up @ channels.g_bs] if sum_b else [])
+        if sum_a + sum_b == 0:
+            return _no_streams([m_alpha] * K), u_beta
+        h_dn = np.vstack(stack)
+        r = _guarded_pinv(h_dn, "downlink-heavy")
+        v_alpha = _split(r[:, :sum_a], da, 1)
+        return v_alpha, u_beta
+
+    if sum_a:
+        h_dn = np.vstack(eff_alpha)
+        r = _guarded_pinv(h_dn, "uplink-heavy")
+        v_alpha = _split(r, da, 1)
+    else:
+        v_alpha = _no_streams([m_alpha] * K)
+    stack = eff_beta + ([channels.g_bs @ np.hstack(v_alpha)] if sum_a else [])
+    if sum_a + sum_b == 0:
+        return v_alpha, _no_streams([m_beta] * L)
+    h_up = np.hstack(stack)
+    p_up = _guarded_pinv(h_up, "uplink-heavy")
+    u_beta = tuple(blk.conj().T for blk in _split(p_up[:sum_b, :], db, 0))
+    return v_alpha, u_beta
 
 
 def per_side_rates(channels, bf, powers):

@@ -3,13 +3,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ia_rtdd as ia
 from ia_rtdd import (BeamformerSet, ConfigError, DofAllocation,
                      IterationOptions, NetworkConfig, PowerProfile, RngStream,
                      SingularSystemError)
+from ia_rtdd.model import complex_gaussian
 
-from oracles import channel_scale
+from oracles import channel_scale, two_branch_zero_force_step2
 
 EX4 = NetworkConfig(12, (6, 6, 8), 16, (6, 6))
 SIM = NetworkConfig(12, (8, 8, 8, 8), 18, (4, 4, 4))
@@ -248,6 +251,74 @@ class TestZeroForce:
         dof = DofAllocation((2, 2), (0,))
         with pytest.raises(SingularSystemError, match="branch"):
             ia.zero_force_step2(ch_bad, dof, u, v)
+
+
+    @pytest.mark.parametrize("cfg, dof", [
+        (NetworkConfig(6, (2, 2), 4, (2, 2)), DofAllocation((0, 0), (1, 1))),
+        (NetworkConfig(4, (2, 2), 6, (2, 2)), DofAllocation((1, 1), (0, 0))),
+    ])
+    def test_silent_cell_ignores_bs_coupling(self, cfg, dof):
+        # the larger BS's cell has no streams, so it solves nothing and the
+        # BS-to-BS link, zero here, is never inverted
+        ch = ia.sample_channels(cfg, RngStream(3, 0))
+        ch = ia.ChannelSet(ch.h_alpha, ch.g_cross, ch.h_beta, np.zeros_like(ch.g_bs))
+        bf, _ = ia.construct_beamformers(ch, dof, unit_powers(cfg),
+                                         IterationOptions(max_iters=5), RngStream(3, 1))
+        assert [m.shape for m in bf.v_alpha] == [(cfg.m_alpha, d) for d in dof.d_alpha]
+        assert [m.shape for m in bf.u_beta] == [(cfg.m_beta, d) for d in dof.d_beta]
+        rep = ia.residual_report(ch, bf, dof)
+        assert max(rep.max_intra_alpha, rep.max_intra_beta) < 1e-12 * channel_scale(ch)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.lists(st.integers(1, 4), min_size=1, max_size=3),
+           st.integers(1, 6), st.lists(st.integers(1, 4), min_size=1, max_size=3),
+           st.lists(st.integers(0, 4), min_size=3, max_size=3),
+           st.lists(st.integers(0, 4), min_size=3, max_size=3),
+           st.booleans(), st.integers(0, 10_000))
+    @example(6, [2, 2], 4, [2, 2], [0, 0, 0], [1, 1, 0], True, 0)
+    @example(4, [2, 2], 6, [2, 2], [1, 1, 0], [0, 0, 0], True, 0)
+    @example(5, [3, 2], 5, [2, 2], [2, 0, 0], [0, 2, 0], False, 1)
+    @example(3, [2, 2], 7, [3, 2], [1, 0, 0], [3, 2, 0], False, 2)
+    @example(4, [2], 6, [2], [0, 0, 0], [0, 0, 0], False, 3)
+    def test_matches_two_branch_reference(self, m_alpha, n_alpha, m_beta, n_beta,
+                                          want_alpha, want_beta, zero_g_bs, seed):
+        # Streams are clipped to the antennas and the budgets 8a-8c, so both
+        # solves are generically well posed; a zero BS-to-BS link makes the
+        # coupled solve singular unless that cell is silent.
+        cfg = NetworkConfig(m_alpha, n_alpha, m_beta, n_beta)
+        left = max(m_alpha, m_beta)
+        streams = []
+        for ns, want, m in ((n_alpha, want_alpha, m_alpha), (n_beta, want_beta, m_beta)):
+            ds = []
+            for n, w in zip(ns, want):
+                ds.append(min(w, n, m - sum(ds), left))
+                left -= ds[-1]
+            streams.append(ds)
+        dof = DofAllocation(*streams)
+        ch = ia.sample_channels(cfg, RngStream(seed, 0))
+        if zero_g_bs:
+            ch = ia.ChannelSet(ch.h_alpha, ch.g_cross, ch.h_beta, np.zeros_like(ch.g_bs))
+        g = np.random.default_rng(seed)
+        u_alpha = tuple(complex_gaussian(g, n, d) for n, d in zip(n_alpha, dof.d_alpha))
+        v_beta = tuple(complex_gaussian(g, n, d) for n, d in zip(n_beta, dof.d_beta))
+
+        def outcome(step2):
+            try:
+                return step2(ch, dof, u_alpha, v_beta)
+            except SingularSystemError as exc:
+                return str(exc)
+
+        want = outcome(two_branch_zero_force_step2)
+        got = outcome(ia.zero_force_step2)
+        second = dof.sum_alpha if m_alpha >= m_beta else dof.sum_beta
+        if isinstance(want, str) and not isinstance(got, str):
+            # the reference still inverts the coupling of a silent cell
+            assert zero_g_bs and second == 0
+        elif isinstance(want, str):
+            assert got == want
+        else:
+            for w, x in zip(want[0] + want[1], got[0] + got[1]):
+                assert w.shape == x.shape and w.tobytes() == x.tobytes()
 
 
 class TestNormalizeAndResiduals:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -404,6 +405,17 @@ class TestHallAndSpecialRealization:
                 v = np.vstack([np.eye(2), np.zeros((EX4.n_beta[l] - 2, 2))])
                 assert np.all(u.conj().T @ g @ v == 0)
         assert identity_blocks == 6
+
+    def test_corrupted_matching_raises(self, monkeypatch):
+        # two links given one spare block put two nonzero entries in one
+        # column of the alignment matrix, so it is no block permutation
+        good = ia.hall_condition(EX4, 4, 2)
+        matching = dict(good.matching)
+        matching[(0, 1)] = matching[(0, 0)]
+        monkeypatch.setattr(feasibility, "hall_condition",
+                            lambda *args: replace(good, matching=matching))
+        with pytest.raises(MatchingError, match="block permutation"):
+            ia.construct_special_realization(EX4, 4, 2)
 
 
 class TestSearch:
