@@ -24,8 +24,8 @@ import os
 import sys
 
 from . import evaluate, feasibility
-from .beamform import (FLOAT_FORMAT, IterationOptions,
-                       construct_beamformers, residual_report)
+from .beamform import (FLOAT_FORMAT, IterationOptions, construct_beamformers,
+                       iterate_alignment, residual_report)
 from .errors import IaRtddError
 from .evaluate import MAX_ABS_SNR_DB
 from .model import (DofAllocation, NetworkConfig, RngStream, sample_channels,
@@ -189,19 +189,21 @@ def _cmd_symmetric(args):
     return 1 if args.strict and not report.verdict else 0
 
 
-def _pipeline(args, config, dof):
+def _pipeline(args, config, dof, build):
+    """The seeded channel draw and ``build`` (`construct_beamformers` or
+    `iterate_alignment`) on it at the one SNR of ``--snr``."""
+    if ":" in args.snr:
+        raise IaRtddError(f"--snr takes one value here, not a grid: {args.snr!r}")
     powers = evaluate.power_profile_for_snr(config, parse_snr_grid(args.snr)[0])
     channels = sample_channels(config, RngStream(args.seed, 0))
     opts = IterationOptions(max_iters=args.iters)
-    bf, trace = construct_beamformers(channels, dof, powers, opts,
-                                      rng=RngStream(args.seed, 1))
-    return channels, bf, trace
+    return channels, build(channels, dof, powers, opts, rng=RngStream(args.seed, 1))
 
 
 def _cmd_construct(args):
     config = _load_config(args.config)
     dof = _parse_dof(args, config)
-    channels, bf, trace = _pipeline(args, config, dof)
+    channels, (bf, trace) = _pipeline(args, config, dof, construct_beamformers)
     report = residual_report(channels, bf, dof)
     _emit_json({
         "residuals": report.to_dict(),
@@ -219,7 +221,7 @@ def _cmd_construct(args):
 def _cmd_simulate_leakage(args):
     config = _load_config(args.config)
     dof = _parse_dof(args, config)
-    _, _, trace = _pipeline(args, config, dof)
+    _, (_, _, trace) = _pipeline(args, config, dof, iterate_alignment)
     if args.format == "json":
         _emit_json({
             "converged": trace.converged,

@@ -1,15 +1,16 @@
 """Achievable-rate evaluation, Monte-Carlo SNR sweeps, and baselines.
 
 Rates follow the standard aligned-MIMO form
-``log2 det(I + C_desire (I + C_intra + C_inter)^-1)`` evaluated as a
-log-determinant difference of two identity-plus-PSD matrices, which avoids
-any explicit inverse; the covariances are built from the effective links of
-`beamform._link_blocks`.  The sweep takes one trial at a time: it draws
-the trial's channels and builds its single-cell baseline once, builds the
-stage-1 filters of its grid points in one stacked alignment loop (per
-slice of STAGE1_BATCH points), then zero-forces and rates both at every
-grid point, with fixed random substreams, so results are bit-reproducible
-for a given seed; means are ordered folds over ascending trial index.
+``log2 det(I + C_desire (I + C_intra + C_inter)^-1)``, read off the
+singular values of each receiver's power-scaled row of effective links from
+`beamform._link_blocks`.  The single-cell baseline completes each cell alone
+with stage 2 (`zero_force_step2`, `normalize`), the other cell's users as
+empty blocks.  The sweep takes one trial at a time: it draws the trial's
+channels and builds its single-cell baseline once, builds the stage-1
+filters of its grid points in one stacked alignment loop (per slice of
+STAGE1_BATCH points), then zero-forces and rates both at every grid point,
+with fixed random substreams, so results are bit-reproducible for a given
+seed; means are ordered folds over ascending trial index.
 """
 
 import math
@@ -21,11 +22,11 @@ import numpy as np
 # it at this lookup site, so the name stays
 from .beamform import (FLOAT_FORMAT, BeamformerSet, PowerProfile,
                        complete_beamformers, construct_beamformers,
-                       iterate_alignment_batch, _guarded_pinv, _link_blocks,
-                       _normalize_matrix, _split)
+                       iterate_alignment_batch, normalize, zero_force_step2,
+                       _link_blocks)
 from .errors import ConfigError, NumericalError, SingularSystemError
-from .model import (RngStream, sample_channels, validate_config,
-                    validate_trials)
+from .model import (DofAllocation, RngStream, sample_channels,
+                    validate_config, validate_trials)
 
 _LN2 = math.log(2.0)
 MAX_ABS_SNR_DB = 300.0  # near 3080 dB the powers overflow the rate arithmetic
@@ -59,54 +60,29 @@ class RateBreakdown:
         return sum(self.per_alpha) + sum(self.per_beta)
 
 
-def _herm(a):
-    return 0.5 * (a + a.conj().T)
-
-
-def _log2_det_ratio(c_desire, c_interf):
-    """log2 det(I + C_d (I + C_i)^-1) for Hermitian PSD C_d, C_i."""
-    d = c_desire.shape[0]
-    eye = np.eye(d)
-    base = _herm(eye + c_interf)
-    full = _herm(base + c_desire)
-    sign_f, ld_f = np.linalg.slogdet(full)
-    sign_b, ld_b = np.linalg.slogdet(base)
-    val = (ld_f - ld_b) / _LN2
-    if sign_f <= 0 or sign_b <= 0 or not np.isfinite(val):
-        raise NumericalError(
-            f"rate evaluation produced a non-finite value (interference "
-            f"condition number {np.linalg.cond(base):.3e})")
-    return max(0.0, val)
-
-
-def _outer(mat, weight):
-    return weight * (mat @ mat.conj().T)
-
-
 def _user_rates(blocks, powers):
     """Achievable rate of every user in bits per channel use, downlink first.
 
     ``blocks`` is the link table of `beamform._link_blocks`.  Receiver r
-    rates its desired link ``blocks[r][r]`` against the other users of its
-    own cell, then those of the other cell, each at its power per stream;
-    users without streams neither receive nor interfere.
+    scales each link of its row by the root of its transmitter's power per
+    stream; with ``X`` that row and ``Y`` it without the desired link
+    ``blocks[r][r]``, the rate is ``log2 det(I + X X^H) - log2 det(I + Y Y^H)``,
+    read off singular values.  Users without streams neither receive nor
+    interfere: their blocks are empty.
     """
-    K = len(powers.p_alpha)
     p = powers.p_alpha + powers.p_beta
-    order = list(range(len(blocks)))
     rates = []
     for r, row in enumerate(blocks):
-        d = row[r].shape[0]
-        if d == 0:
+        if not row[r].shape[0]:
             rates.append(0.0)
             continue
-        c_desire = _outer(row[r], p[r] / d)
-        c_interf = np.zeros((d, d), dtype=np.complex128)
-        for t in order[K:] + order[:K] if r >= K else order:
-            d_t = row[t].shape[1]
-            if t != r and d_t:
-                c_interf += _outer(row[t], p[t] / d_t)
-        rates.append(_log2_det_ratio(c_desire, c_interf))
+        scaled = [b * math.sqrt(p_t / max(b.shape[1], 1)) for b, p_t in zip(row, p)]
+        x = np.hstack(scaled)
+        if not np.isfinite(x).all():
+            raise NumericalError("rate evaluation met a non-finite effective link")
+        x_ld, y_ld = (np.log1p(np.linalg.svd(m, compute_uv=False) ** 2).sum()
+                      for m in (x, np.hstack(scaled[:r] + scaled[r + 1:])))
+        rates.append(max(0.0, (x_ld - y_ld) / _LN2))
     return rates
 
 
@@ -138,28 +114,25 @@ def _single_cell_links(channels, config):
     """Zero-forcing link tables of each cell running alone, and the number of
     downlink users with streams; none of them depends on the SNR.
 
-    Each cell's filters go into a `BeamformerSet` without the other cell, so
-    its table holds the K x K downlink or L x L uplink links `_user_rates`
-    reads.
+    Streams are dealt round-robin and each user's filter spans the leading
+    singular vectors of its direct channel.  Stage 2 then completes each
+    cell on its own: the other cell's users get zero-width filters, so their
+    blocks in the table are empty.
     """
-    streams = _round_robin_streams(config.n_alpha, config.m_alpha)
-    u_alpha = tuple(np.linalg.svd(h)[0][:, :s]
-                    for h, s in zip(channels.h_alpha, streams))
-    rows = [u.conj().T @ h for u, h in zip(u_alpha, channels.h_alpha)]
-    pre = _guarded_pinv(np.vstack(rows), "single-cell downlink")
-    v_alpha = _split(_normalize_matrix(pre, "single-cell precoder"), streams, 1)
-    down = BeamformerSet(u_alpha, v_alpha, (), ())
-    active = sum(1 for s in streams if s)
-
-    streams = _round_robin_streams(config.n_beta, config.m_beta)
+    d_a = _round_robin_streams(config.n_alpha, config.m_alpha)
+    d_b = _round_robin_streams(config.n_beta, config.m_beta)
+    u_alpha = tuple(np.linalg.svd(h)[0][:, :s] for h, s in zip(channels.h_alpha, d_a))
     v_beta = tuple(np.linalg.svd(h)[2].conj().T[:, :s]
-                   for h, s in zip(channels.h_beta, streams))
-    blocks = [h @ v for h, v in zip(channels.h_beta, v_beta)]
-    p_up = _guarded_pinv(np.hstack(blocks), "single-cell uplink")
-    u_beta = tuple(_normalize_matrix(blk.conj().T, "single-cell postcoder")
-                   for blk in _split(p_up, streams, 0))
-    up = BeamformerSet((), (), u_beta, v_beta)
-    return _link_blocks(channels, down), _link_blocks(channels, up), active
+                   for h, s in zip(channels.h_beta, d_b))
+    tables = []
+    for dof, u_a, v_b in ((DofAllocation(d_a, [0] * len(d_b)), u_alpha,
+                           tuple(v[:, :0] for v in v_beta)),
+                          (DofAllocation([0] * len(d_a), d_b),
+                           tuple(u[:, :0] for u in u_alpha), v_beta)):
+        v_alpha, u_beta = zero_force_step2(channels, dof, u_a, v_b)
+        bf = normalize(BeamformerSet(u_a, v_alpha, u_beta, v_b))
+        tables.append(_link_blocks(channels, bf))
+    return tables[0], tables[1], sum(1 for s in d_a if s)
 
 
 def _single_cell_rates(links, config, power):
@@ -167,9 +140,9 @@ def _single_cell_rates(links, config, power):
     `_single_cell_links` at linear power ``power``: the downlink BS splits it
     over its active users, every uplink user transmits at it."""
     down, up, active = links
-    rates_a = _user_rates(down, PowerProfile((power / active,) * config.num_alpha, ()))
-    rates_b = _user_rates(up, PowerProfile((), (power,) * config.num_beta))
-    return sum(rates_a), sum(rates_b)
+    powers = PowerProfile((power / active,) * config.num_alpha,
+                          (power,) * config.num_beta)
+    return sum(_user_rates(down, powers)), sum(_user_rates(up, powers))
 
 
 def baseline_single_cell(config, snr_db, trials, seed):

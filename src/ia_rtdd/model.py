@@ -137,12 +137,10 @@ class DofAllocation:
             raise ConfigError(
                 f"stream allocation string needs exactly one ';', got {text!r}")
         try:
-            d_alpha = tuple(int(v.strip()) for v in parts[0].split(",") if v.strip() != "")
-            d_beta = tuple(int(v.strip()) for v in parts[1].split(",") if v.strip() != "")
+            d_alpha, d_beta = (tuple(int(v) for v in part.split(",")) for part in parts)
         except ValueError:
-            raise ConfigError(f"could not parse stream allocation {text!r}") from None
-        if not d_alpha or not d_beta:
-            raise ConfigError(f"both sides of {text!r} need at least one entry")
+            raise ConfigError(f"could not parse stream allocation {text!r}: each side "
+                              f"is a list of integers, no entry empty") from None
         return cls(d_alpha, d_beta)
 
     def format(self):

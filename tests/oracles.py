@@ -1,26 +1,34 @@
 """Independent brute-force oracles used to cross-check the fast paths.
 
 Everything here is written with itertools loops straight from the condition
-definitions, deliberately sharing no code with the package internals; the
-rate reference shares only the log-determinant step, since what it checks is
-which links are summed and in what order, the sweep reference shares the
-pipeline steps it calls per trial, since what it checks is the order of the
-draws and folds around them, the search reference shares the scalar
-deciders, since what it checks is the order and count of the allocations
-tried, and the stage-2 reference shares the guarded pseudo-inverse and the
-block split, since what it checks is which blocks are stacked.
+definitions.  The rate reference shares no code with the package: it sums
+covariances and takes a difference of log-determinants, where the package
+reads singular values.  The other references share only the steps named
+here, since what they check lies around those steps:
+
+* the single-cell reference shares the round-robin stream split, the guarded
+  pseudo-inverse, the column normalization and the block split, since what
+  it checks is which zero-forcing problem each cell solves;
+* the sweep reference shares the pipeline steps it calls per trial, rates
+  and single-cell links included, since what it checks is the order of the
+  draws and folds around them;
+* the search reference shares the scalar deciders, since what it checks is
+  the order and count of the allocations tried;
+* the stage-2 reference shares the guarded pseudo-inverse and the block
+  split, since what it checks is which blocks are stacked.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from ia_rtdd.beamform import (BeamformerSet, PowerProfile, construct_beamformers,
                               _guarded_pinv, _normalize_matrix, _split)
 from ia_rtdd.errors import NumericalError, SingularSystemError
-from ia_rtdd.evaluate import (SweepResult, _log2_det_ratio, _round_robin_streams,
-                              baseline_point_to_point, power_profile_for_snr,
-                              snr_to_power)
+from ia_rtdd.evaluate import (SweepResult, _round_robin_streams, _single_cell_links,
+                              _single_cell_rates, baseline_point_to_point,
+                              power_profile_for_snr, snr_to_power, sum_rate)
 from ia_rtdd.feasibility import SearchResult, check_necessary, check_sufficient
 from ia_rtdd.model import DofAllocation, RngStream, sample_channels
 
@@ -231,12 +239,31 @@ def two_branch_zero_force_step2(channels, dof, u_alpha, v_beta):
     return v_alpha, u_beta
 
 
+def _herm(a):
+    return 0.5 * (a + a.conj().T)
+
+
+def _log2_det_ratio(c_desire, c_interf):
+    """log2 det(I + C_d (I + C_i)^-1) for Hermitian PSD C_d, C_i, as a
+    difference of two log-determinants."""
+    eye = np.eye(c_desire.shape[0])
+    base = _herm(eye + c_interf)
+    full = _herm(base + c_desire)
+    sign_f, ld_f = np.linalg.slogdet(full)
+    sign_b, ld_b = np.linalg.slogdet(base)
+    val = (ld_f - ld_b) / math.log(2.0)
+    if sign_f <= 0 or sign_b <= 0 or not np.isfinite(val):
+        raise NumericalError("slogdet rate reference produced a non-finite value")
+    return max(0.0, val)
+
+
 def per_side_rates(channels, bf, powers):
     """Per-user rates, one formula per cell, the reference for `sum_rate`.
 
-    Each receiver sums the interference of its own cell first, then of the
-    other cell, skipping zero-stream transmitters, with the package's
-    operands, so the two must agree bit for bit.
+    Each receiver sums the covariances of its own cell first, then of the
+    other cell, skipping zero-stream transmitters, and takes the rate as a
+    difference of two log-determinants; `sum_rate` reads it off singular
+    values instead, so the two agree to roundoff.
     Returns ``(per_alpha, per_beta)``.
     """
     def outer(mat, weight):
@@ -291,7 +318,8 @@ def per_side_rates(channels, bf, powers):
 
 def _single_cell_rate(channels, config, power, downlink):
     """Zero-forcing sum rate of one cell running alone at one power, filters
-    built from scratch and rated by `per_side_rates`."""
+    built from scratch with one pseudo-inverse and rated by `per_side_rates`,
+    the reference for `evaluate._single_cell_links`."""
     K, L = config.num_alpha, config.num_beta
     if downlink:
         streams = _round_robin_streams(config.n_alpha, config.m_alpha)
@@ -322,7 +350,8 @@ def per_point_sweep(config, dof, snr_grid_db, trials, opts=None, seed=0):
     """One grid point at a time, the reference for `evaluate.monte_carlo_sweep`.
 
     Every (grid point, trial) redraws the trial's channels, and the baseline
-    redraws them again and rebuilds its filters, so the two must agree bit
+    redraws them again and rebuilds its filters; both are rated by the
+    package's `sum_rate` and single-cell steps, so the two must agree bit
     for bit on every point with a successful trial.
     """
     K, L = config.num_alpha, config.num_beta
@@ -337,12 +366,12 @@ def per_point_sweep(config, dof, snr_grid_db, trials, opts=None, seed=0):
             try:
                 bf, _ = construct_beamformers(channels, dof, powers, opts,
                                               rng=RngStream(seed, trials + t))
-                per_alpha, per_beta = per_side_rates(channels, bf, powers)
+                rates = sum_rate(channels, bf, powers)
             except (SingularSystemError, NumericalError):
                 failed += 1
                 continue
-            acc_alpha += np.asarray(per_alpha)
-            acc_beta += np.asarray(per_beta)
+            acc_alpha += np.asarray(rates.per_alpha)
+            acc_beta += np.asarray(rates.per_beta)
             ok += 1
         if ok:
             mean_alpha, mean_beta = acc_alpha / ok, acc_beta / ok
@@ -354,8 +383,10 @@ def per_point_sweep(config, dof, snr_grid_db, trials, opts=None, seed=0):
         sum_alpha = sum_beta = 0.0
         for t in range(trials):
             channels = sample_channels(config, RngStream(seed, t))
-            sum_alpha += _single_cell_rate(channels, config, power, True)
-            sum_beta += _single_cell_rate(channels, config, power, False)
+            rate_alpha, rate_beta = _single_cell_rates(
+                _single_cell_links(channels, config), config, power)
+            sum_alpha += rate_alpha
+            sum_beta += rate_beta
         rows["sum"].append(mean_sum)
         rows["alpha"].append(tuple(mean_alpha))
         rows["beta"].append(tuple(mean_beta))

@@ -184,6 +184,7 @@ def test_input_errors_exit_2(small_config, tmp_path, capsys, monkeypatch):
                  "--dof", "1;1"]) == 2
     assert main(["check", "--config", small_config, "--dof", "1,1"]) == 2
     assert main(["check", "--config", small_config, "--dof", "9,9;9,9"]) == 2
+    assert main(["check", "--config", small_config, "--dof", "1,,1;1,1"]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["check", "--config", str(bad), "--dof", "1,1;1,1"]) == 2
@@ -205,10 +206,13 @@ def test_input_errors_exit_2(small_config, tmp_path, capsys, monkeypatch):
                      ("construct", "inf"), ("construct", "-inf"),
                      ("construct", "1e300"), ("simulate-sumrate", "0:nan:10"),
                      ("simulate-sumrate", "0:5:1e12"),
-                     ("simulate-sumrate", "0:1e-6:1")):
+                     ("simulate-sumrate", "0:1e-6:1"), ("construct", "0:10:50"),
+                     ("simulate-leakage", "0:10:50")):
         assert main([cmd, "--config", small_config, "--dof", "1,1;1,1",
                      f"--snr={snr}", "--iters", "2"]) == 2
-    assert "has more than 10000 points" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "has more than 10000 points" in err
+    assert err.count("not a grid") == 2
     assert main(["construct", "--config", small_config, "--dof", "1,1;1,1",
                  "--seed", "-1"]) == 2
     assert "seed must be >= 0" in capsys.readouterr().err

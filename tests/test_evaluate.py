@@ -85,6 +85,16 @@ class TestUserRates:
             got = rates.per_beta[l]
             assert abs(got - expected) < 1e-4 * max(1.0, expected)
 
+    @pytest.mark.parametrize("position", range(4))
+    def test_non_finite_link_raises_numerical_error(self, position):
+        # the sweep drops a trial on NumericalError; a LinAlgError from the
+        # SVD would escape it
+        filters = [(np.array([[1.0 + 0j]]),) for _ in range(4)]
+        filters[position] = (np.array([[np.nan + 0j]]),)
+        with pytest.raises(ia.NumericalError, match="non-finite"):
+            ia.sum_rate(scalar_network(g_cross=1.0, g_bs=1.0),
+                        BeamformerSet(*filters), PowerProfile((1.0,), (1.0,)))
+
     def test_sum_additivity(self):
         ch = scalar_network(h=1.0, h_beta=2.0)
         powers = PowerProfile((4.0,), (1.0,))
@@ -142,14 +152,24 @@ def per_link_residuals(ch, bf):
     )
 
 
+# Relative tolerance of a rate against the slogdet reference, fixed
+# beforehand: the two forms differ by roundoff only.
+RATE_RTOL = 1e-11
+
+
+def assert_rates_close(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert abs(g - w) <= RATE_RTOL * max(1.0, abs(w)), (g, w)
+
+
 @pytest.mark.parametrize("seed", range(50))
 def test_link_table_matches_per_link_references(seed):
-    # bit for bit: the same operands, products and summation order
+    # residuals bit for bit (the same operands and products); rates to
+    # roundoff, from singular values against log-determinants
     ch, bf, powers = random_link_case(seed)
     rates = ia.sum_rate(ch, bf, powers)
     want = per_side_rates(ch, bf, powers)
-    assert np.array(rates.per_alpha + rates.per_beta).tobytes() == \
-        np.array(want[0] + want[1]).tobytes()
+    assert_rates_close(rates.per_alpha + rates.per_beta, want[0] + want[1])
     dof = DofAllocation(tuple(u.shape[1] for u in bf.u_alpha),
                         tuple(u.shape[1] for u in bf.u_beta))
     report = ia.residual_report(ch, bf, dof)
@@ -378,3 +398,17 @@ class TestSweepOrder:
                              opts=IterationOptions(max_iters=20), seed=4)
         assert draws == [RngStream(4, 0), RngStream(4, 1)]
         assert len(builds) == 2
+
+
+@pytest.mark.parametrize("case", range(len(IRREGULAR) + 1))
+def test_single_cell_links_match_hand_built_zero_forcing(case):
+    # stage 2 on one cell against one pseudo-inverse of its stacked links
+    cfg = (*(c for c, _ in IRREGULAR), SIM)[case]
+    for t in range(3):
+        ch = ia.sample_channels(cfg, RngStream(case, t))
+        links = evaluate._single_cell_links(ch, cfg)
+        for snr_db in (float("-inf"), 0.0, 30.0):
+            power = ia.snr_to_power(snr_db)
+            assert_rates_close(evaluate._single_cell_rates(links, cfg, power),
+                               [oracles._single_cell_rate(ch, cfg, power, downlink)
+                                for downlink in (True, False)])

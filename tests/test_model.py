@@ -60,6 +60,10 @@ class TestConfigTypes:
             DofAllocation.parse("1;2;3")
         with pytest.raises(ConfigError):
             DofAllocation.parse("1,x;2")
+        for text in ("1,,1;1", ",1,1;1", "1,1;1,", ";1", "1;", " ;1"):
+            with pytest.raises(ConfigError, match="no entry empty"):
+                DofAllocation.parse(text)
+        assert DofAllocation.parse(" 1 , 2 ;3") == DofAllocation((1, 2), (3,))
 
     @given(st.lists(st.integers(0, 9), min_size=1, max_size=5),
            st.lists(st.integers(0, 9), min_size=1, max_size=5))
