@@ -1,16 +1,17 @@
 """Hot numeric kernels, in numpy.
 
 Two inner loops dominate runtime: the alternating leakage-minimization
-iteration and the exhaustive subset scan behind the combinatorial
+iteration and the subset-pair scan behind the combinatorial
 feasibility conditions.  The alignment loop takes and returns the filters
 as per-user tuples, the form `beamform` uses everywhere else.
 """
 
-import functools
-
 import numpy as np
 
 BACKEND = "numpy"
+# Elements of the widest array in one block of the subset scan or of the DoF
+# search, unless one row (an alpha subset, an allocation) alone needs more.
+BLOCK = 1 << 16
 _PHASE_TOL = 1e-12
 
 
@@ -41,44 +42,34 @@ def fix_column_phases(mat):
 # subset-pair scan
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _lex_rank(size):
-    """Rank of every bitmask over ``size`` users in the lexicographic order of
-    its sorted user indices, e.g. () < (0,) < (0, 1) < (1,) for two users.
-
-    The subsets starting after user ``p`` come in blocks by their first user
-    ``f``, each block 2^(size - f - 1) long after the empty subset, so taking
-    user ``j`` next adds ``1 + 2^(size - p - 1) - 2^(size - j)``.
-    """
-    masks = np.arange(1 << size)
-    rank = np.zeros(1 << size, dtype=np.int64)
-    after = np.full(1 << size, 1 << size)          # 2^(size - p - 1)
-    for j in range(size):
-        taken = (masks >> j & 1).astype(bool)
-        rank[taken] += 1 + after[taken] - (1 << (size - j))
-        after[taken] = 1 << (size - j - 1)
-    rank.setflags(write=False)
-    return rank
+def _lex_sums(x):
+    """Sums of ``x`` over every subset of its last axis, in the lexicographic
+    order of the subsets' sorted indices: (), (0,), (0, 1), (1,) for two."""
+    out = np.zeros(np.shape(x)[:-1] + (1,), dtype=np.int64)
+    for j in reversed(range(np.shape(x)[-1])):
+        # the subsets of j..: (), j joined to each subset of j+1.., then the
+        # nonempty subsets of j+1..
+        out = np.concatenate((out[..., :1], x[..., j, None] + out, out[..., 1:]), -1)
+    return out
 
 
 def _side_sums(d, n):
-    """Per-subset sums of d, N and d(N - d) over the users on the last axis
-    of ``d``, one entry per bitmask; leading axes of ``d`` stack
-    allocations, and the sums of N are shared as one 1-d array."""
-    d = np.asarray(d, dtype=np.int64)
-    n = np.asarray(n, dtype=np.int64)
-    size = d.shape[-1]
-    sd = np.zeros(d.shape[:-1] + (1 << size,), dtype=np.int64)
-    sn = np.zeros(1 << size, dtype=np.int64)
-    sv = np.zeros_like(sd)
-    v = d * (n - d)
-    half = 1
-    for j in range(size):
-        sd[..., half:2 * half] = sd[..., :half] + d[..., j, None]
-        sn[half:2 * half] = sn[:half] + n[j]
-        sv[..., half:2 * half] = sv[..., :half] + v[..., j, None]
-        half *= 2
-    return sd, sn, sv
+    """`_lex_sums` of d, N and d(N - d); leading axes of ``d`` stack
+    allocations, and the sums of N are one 1-d array."""
+    d, n = np.asarray(d, dtype=np.int64), np.asarray(n, dtype=np.int64)
+    return _lex_sums(d), _lex_sums(n), _lex_sums(d * (n - d))
+
+
+def _violations(sd_a, sn_a, sv_a, sd_b, sn_b, sv_b):
+    """`subset_violations` from two `_side_sums`, the antenna bound as one
+    comparison per side so that the pairs take a single int64 array (with
+    more, a fresh process page-faults them in for every block)."""
+    sd_a, sv_a = sd_a[..., :, None], sv_a[..., :, None]
+    sd_b, sv_b = sd_b[..., None, :], sv_b[..., None, :]
+    bound = (sd_b > sn_a[:, None] - sd_a) & (sd_a > sn_b - sd_b)
+    count = sd_a * sd_b
+    count -= sv_a
+    return bound, count > sv_b
 
 
 def subset_violations(d_a, n_a, d_b, n_b):
@@ -90,37 +81,33 @@ def subset_violations(d_a, n_a, d_b, n_b):
     * counting bound:  sum(d, Ia) * sum(d, Ib) <= sum(d(N-d), Ia) + sum(d(N-d), Ib)
 
     ``d_a`` and ``d_b`` may stack allocations on matching leading axes.
-    Returns ``(bound, count)``, boolean arrays of shape
-    ``(..., 2^K, 2^L)`` indexed by ``(alpha_mask, beta_mask)``.
+    Returns ``(bound, count)``, boolean arrays of shape ``(..., 2^K, 2^L)``
+    indexed by the two subsets in `_lex_sums` order.
     """
-    sd_a, sn_a, sv_a = _side_sums(d_a, n_a)
-    sd_b, sn_b, sv_b = _side_sums(d_b, n_b)
-    sd_a, sv_a = sd_a[..., :, None], sv_a[..., :, None]
-    sd_b, sv_b = sd_b[..., None, :], sv_b[..., None, :]
-    bound = sd_a + sd_b > np.maximum(sn_a[:, None], sn_b[None, :])
-    count = sd_a * sd_b > sv_a + sv_b
-    return bound, count
-
-
-def _lex_min_pair(viol):
-    rows = np.flatnonzero(viol.any(axis=1))
-    if rows.size == 0:
-        return None
-    ma = int(rows[_lex_rank(viol.shape[0].bit_length() - 1)[rows].argmin()])
-    cols = np.flatnonzero(viol[ma])
-    mb = int(cols[_lex_rank(viol.shape[1].bit_length() - 1)[cols].argmin()])
-    return ma, mb
+    return _violations(*_side_sums(d_a, n_a), *_side_sums(d_b, n_b))
 
 
 def subset_scan(d_a, n_a, d_b, n_b):
     """Find the lexicographically first violating subset pair per condition
-    of `subset_violations`, for one allocation.
+    of `subset_violations`, for one allocation, walking ``BLOCK`` pairs at a
+    time (one alpha subset's 2^L if more) until both conditions have one.
 
     Returns ``(bound_pair, count_pair)`` where each entry is either ``None``
     or an ``(alpha_mask, beta_mask)`` tuple of Python ints.
     """
-    bound, count = subset_violations(d_a, n_a, d_b, n_b)
-    return _lex_min_pair(bound), _lex_min_pair(count)
+    side_a, side_b = _side_sums(d_a, n_a), _side_sums(d_b, n_b)
+    masks_a, masks_b = (_lex_sums(1 << np.arange(len(n))) for n in (n_a, n_b))
+    rows = max(1, BLOCK // len(masks_b))
+    first = [None, None]
+    for start in range(0, len(masks_a), rows):
+        block = (s[start:start + rows] for s in side_a)
+        for c, viol in enumerate(_violations(*block, *side_b)):
+            if first[c] is None and viol.any():
+                r, col = divmod(int(viol.argmax()), len(masks_b))
+                first[c] = (int(masks_a[start + r]), int(masks_b[col]))
+        if None not in first:
+            break
+    return tuple(first)
 
 
 # ---------------------------------------------------------------------------

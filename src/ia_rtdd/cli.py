@@ -28,8 +28,8 @@ from .beamform import (FLOAT_FORMAT, IterationOptions, construct_beamformers,
                        iterate_alignment, residual_report)
 from .errors import IaRtddError
 from .evaluate import MAX_ABS_SNR_DB
-from .model import (DofAllocation, NetworkConfig, RngStream, sample_channels,
-                    validate_config)
+from .model import (DofAllocation, NetworkConfig, RngStream, _plain_number,
+                    sample_channels, validate_config)
 
 MAX_SNR_POINTS = 10_000
 
@@ -78,10 +78,17 @@ def _subset_limit():
     if not value:
         return None
     try:
-        return int(value)
+        return _plain_number(value)
     except ValueError:
         raise IaRtddError(
             f"IA_RTDD_MAX_SUBSET_USERS must be an integer, got {value!r}")
+
+
+def _int_arg(text):
+    try:
+        return _plain_number(text)
+    except ValueError:  # with argparse's own message
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def parse_snr_grid(text):
@@ -93,7 +100,7 @@ def parse_snr_grid(text):
     if len(parts) not in (1, 3):
         raise IaRtddError(f"SNR grid must be START:STEP:STOP, got {text!r}")
     try:
-        values = [float(p) for p in parts]
+        values = [_plain_number(p, float) for p in parts]
     except ValueError:
         raise IaRtddError(f"could not parse SNR grid {text!r}")
     if not (all(math.isfinite(v) for v in values)
@@ -268,7 +275,7 @@ def build_parser():
         if dof_help:
             p.add_argument("--dof", help=dof_help)
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_int_arg, default=0)
         p.add_argument("--out", help="output path (default stdout)")
         if strict:
             p.add_argument("--strict", action="store_true",
@@ -278,14 +285,14 @@ def build_parser():
     common(p, alloc, strict=True)
     p.add_argument("--mode", choices=["necessary", "sufficient"],
                    help="restrict to one decider (default: both)")
-    p.add_argument("--trials", type=int, default=feasibility.DEFAULT_RANK_TRIALS)
+    p.add_argument("--trials", type=_int_arg, default=feasibility.DEFAULT_RANK_TRIALS)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("search", help="maximum sum DoF search")
     common(p, strict=True)
     p.add_argument("--mode", choices=["necessary", "sufficient"],
                    help="restrict to one decider (default: both + optimal flag)")
-    p.add_argument("--trials", type=int, default=feasibility.DEFAULT_RANK_TRIALS)
+    p.add_argument("--trials", type=_int_arg, default=feasibility.DEFAULT_RANK_TRIALS)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("symmetric", help="symmetric-allocation test")
@@ -294,22 +301,22 @@ def build_parser():
 
     p = sub.add_parser("construct", help="build beamformers, report residuals")
     common(p, alloc)
-    p.add_argument("--iters", type=int, default=5000)
+    p.add_argument("--iters", type=_int_arg, default=5000)
     p.add_argument("--snr", default="30", help="operating SNR in dB")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("simulate-leakage", help="leakage trace CSV")
     common(p, alloc)
-    p.add_argument("--iters", type=int, default=2000)
+    p.add_argument("--iters", type=_int_arg, default=2000)
     p.add_argument("--snr", default="30", help="operating SNR in dB")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_simulate_leakage)
 
     p = sub.add_parser("simulate-sumrate", help="Monte-Carlo sum-rate sweep CSV")
     common(p, alloc)
-    p.add_argument("--iters", type=int, default=3000)
+    p.add_argument("--iters", type=_int_arg, default=3000)
     p.add_argument("--snr", default="0:5:50", help="SNR grid START:STEP:STOP in dB")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_int_arg, default=100)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_simulate_sumrate)
 

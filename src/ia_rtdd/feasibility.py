@@ -4,8 +4,8 @@ Three deciders are provided:
 
 * `check_necessary` - the converse side: per-cell and cross-BS stream
   budgets plus two families of per-subset conditions (antenna bound and
-  equation/variable counting), enumerated exhaustively over all subset
-  pairs.  Condition ids "8a".."8e".
+  equation/variable counting), walked over the subset pairs in lexicographic
+  order up to the first violation of each.  Condition ids "8a".."8e".
 * `check_sufficient` - the achievability side: the stream budgets "8a".."8c"
   plus full row rank of the alignment coefficient matrix on sampled
   channels, majority-voted over independent draws.  Condition id "rank".
@@ -31,9 +31,6 @@ from .model import (ChannelSet, DofAllocation, NetworkConfig, RngStream,
 
 DEFAULT_SUBSET_LIMIT = 20
 DEFAULT_SEARCH_BUDGET = 2_000_000
-# Elements of a search block's widest array (its subset pairs in necessary
-# mode), unless one allocation alone needs more.
-_SEARCH_CHUNK = 1 << 16
 DEFAULT_RANK_TRIALS = 5
 RANK_RTOL = 1e-10
 
@@ -107,8 +104,8 @@ def _budget_conditions(config, dof):
 def check_necessary(config, dof, subset_limit=None):
     """Evaluate every converse condition; any feasible allocation passes all.
 
-    The two subset families are scanned over all 2^K * 2^L subset pairs; a
-    failing condition records the lexicographically first violating pair.
+    The subset pairs are walked in lexicographic order, in bounded blocks,
+    until both subset families have a violation; each records its first.
     """
     validate_config(config, dof)
     _guard_subset_size(config, subset_limit)
@@ -514,7 +511,7 @@ def search_max_sum_dof(config, mode="necessary", trials=DEFAULT_RANK_TRIALS,
     else:
         trials = validate_trials(trials)
         width = users
-    rows = max(1, _SEARCH_CHUNK // width)
+    rows = max(1, _kernels.BLOCK // width)
     if rng is None:
         rng = RngStream(0, 0)
     cap = min(max(config.m_alpha, config.m_beta),

@@ -30,6 +30,14 @@ def _as_int(value, name):
     return out
 
 
+def _plain_number(text, kind=int):
+    """``kind(text)``, refusing ``_`` and non-ASCII text (digit separators,
+    Unicode digits and spaces), which int and float would read."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"invalid {kind.__name__} value: {text!r}")
+    return kind(text)
+
+
 def _as_int_tuple(values, name):
     if isinstance(values, str) or not hasattr(values, "__iter__"):
         raise ConfigError(
@@ -137,7 +145,7 @@ class DofAllocation:
             raise ConfigError(
                 f"stream allocation string needs exactly one ';', got {text!r}")
         try:
-            d_alpha, d_beta = (tuple(int(v) for v in part.split(",")) for part in parts)
+            d_alpha, d_beta = (tuple(map(_plain_number, p.split(","))) for p in parts)
         except ValueError:
             raise ConfigError(f"could not parse stream allocation {text!r}: each side "
                               f"is a list of integers, no entry empty") from None

@@ -216,6 +216,25 @@ def test_input_errors_exit_2(small_config, tmp_path, capsys, monkeypatch):
     assert main(["construct", "--config", small_config, "--dof", "1,1;1,1",
                  "--seed", "-1"]) == 2
     assert "seed must be >= 0" in capsys.readouterr().err
+    # numeric text is plain ASCII without digit-group underscores
+    assert main(["check", "--config", small_config, "--dof", "1_0,1;1,1"]) == 2
+    assert main(["simulate-sumrate", "--config", small_config, "--dof", "1,1;1,1",
+                 "--snr", "0:1_0:2_0", "--iters", "2", "--trials", "1"]) == 2
+    assert main(["construct", "--config", small_config, "--dof", "1,1;1,1",
+                 "--snr", "\u0663\u0660", "--iters", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "could not parse stream allocation" in err
+    assert err.count("could not parse SNR grid") == 2
+    for flag in ("--seed", "--iters"):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "--config", small_config, "--dof", "1,1;1,1",
+                  flag, "1_0"])
+        assert exc.value.code == 2
+    assert capsys.readouterr().err.count("invalid int value: '1_0'") == 2
+    monkeypatch.setenv("IA_RTDD_MAX_SUBSET_USERS", "2_0")
+    assert main(["check", "--config", small_config, "--dof", "1,1;1,1"]) == 2
+    assert "IA_RTDD_MAX_SUBSET_USERS must be an integer" in capsys.readouterr().err
+    monkeypatch.delenv("IA_RTDD_MAX_SUBSET_USERS")
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"M_alpha": 4, "N_alpha": [3, 3], "M_beta": 6, '
                        b'"N_beta": [2, 2], "note": "\xe9"}')

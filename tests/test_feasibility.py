@@ -521,8 +521,9 @@ class TestSearch:
     @given(st.integers(0, 10_000), st.sampled_from(["necessary", "sufficient"]))
     def test_matches_reference_search(self, seed, mode):
         # generated networks of up to 3+3 users, once with the default block
-        # size and once with blocks of one allocation, so that the examined
-        # count crosses block boundaries
+        # size and once with blocks of one allocation and scan blocks of one
+        # alpha subset, so that the examined count and the witness walk
+        # cross block boundaries
         rng = np.random.default_rng(seed)
         cfg = random_small_config(rng, max_users=3, max_antennas=4)
         trials = int(rng.integers(1, 4))
@@ -530,7 +531,7 @@ class TestSearch:
                                            RngStream(seed, 0)).to_dict())
         assert json.dumps(ia.search_max_sum_dof(
             cfg, mode, trials, RngStream(seed, 0)).to_dict()) == want
-        with mock.patch.object(feasibility, "_SEARCH_CHUNK", 1):
+        with mock.patch.object(_kernels, "BLOCK", 1):
             assert json.dumps(ia.search_max_sum_dof(
                 cfg, mode, trials, RngStream(seed, 0)).to_dict()) == want
 

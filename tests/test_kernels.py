@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,11 @@ def _indices(mask):
 
 
 def test_mask_lex_order_matches_tuple_order():
-    # the rank table orders the masks of 0-7 users as their sorted index tuples
+    # the subset sums of the user bits list the masks of 0-7 users in the
+    # order of their sorted index tuples
     for size in range(8):
-        rank = _kernels._lex_rank(size)
-        keyed = sorted(range(1 << size), key=_indices)
-        assert rank.tolist() == [keyed.index(m) for m in range(1 << size)]
+        masks = _kernels._lex_sums(1 << np.arange(size))
+        assert masks.tolist() == sorted(range(1 << size), key=_indices)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -54,10 +55,27 @@ def _assert_scan_matches_oracle(rng, max_users, max_antennas):
 
 
 @pytest.mark.parametrize("seed", range(25))
-def test_scan_implementations_agree(seed):
+def test_scan_implementations_agree(seed, monkeypatch):
     # the vectorised scan against the brute-force oracle at 1-4 users and
-    # 1-8 antennas per cell
-    _assert_scan_matches_oracle(np.random.default_rng(seed), 4, 8)
+    # 1-8 antennas per cell, with the default blocks, blocks of one alpha
+    # subset and blocks of 7 pairs, so first violations land on block edges
+    for block in (_kernels.BLOCK, 1, 7):
+        monkeypatch.setattr(_kernels, "BLOCK", block)
+        _assert_scan_matches_oracle(np.random.default_rng(seed), 4, 8)
+
+
+def test_scan_memory_is_bounded_by_the_block():
+    # a passing allocation walks all 2^20 pairs of a 10+10-user network in
+    # blocks, so no 2^K x 2^L array is ever built (8 MiB per int64 array)
+    n_a, n_b = (2, 3, 4, 5, 6, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 6, 5, 4, 3, 2)
+    d_a, d_b = (1,) + (0,) * 9, (1,) + (0,) * 9
+    tracemalloc.start()
+    try:
+        assert _kernels.subset_scan(d_a, n_a, d_b, n_b) == (None, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 @pytest.mark.parametrize("seed", range(15))

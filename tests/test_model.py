@@ -64,6 +64,13 @@ class TestConfigTypes:
             with pytest.raises(ConfigError, match="no entry empty"):
                 DofAllocation.parse(text)
         assert DofAllocation.parse(" 1 , 2 ;3") == DofAllocation((1, 2), (3,))
+        # int() would read digit-group underscores and Unicode digits
+        for text in ("1_0;1", "+1;\u0661", "1;\uff11", "1;1\u00a0"):
+            with pytest.raises(ConfigError, match="list of integers"):
+                DofAllocation.parse(text)
+        assert DofAllocation.parse("+1;1") == DofAllocation((1,), (1,))
+        with pytest.raises(ConfigError, match="must be >= 0"):
+            DofAllocation.parse("-1;1")
 
     @given(st.lists(st.integers(0, 9), min_size=1, max_size=5),
            st.lists(st.integers(0, 9), min_size=1, max_size=5))
