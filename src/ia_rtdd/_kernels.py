@@ -43,71 +43,69 @@ def fix_column_phases(mat):
 # ---------------------------------------------------------------------------
 
 def _lex_sums(x):
-    """Sums of ``x`` over every subset of its last axis, in the lexicographic
-    order of the subsets' sorted indices: (), (0,), (0, 1), (1,) for two."""
-    out = np.zeros(np.shape(x)[:-1] + (1,), dtype=np.int64)
-    for j in reversed(range(np.shape(x)[-1])):
+    """Sums of ``x`` over every subset of its first axis (later axes stack), in
+    the lexicographic order of the subsets' sorted indices: (), (0,), (0, 1), (1,)."""
+    out = np.zeros((1,) + np.shape(x)[1:], dtype=np.int64)
+    for j in reversed(range(len(x))):
         # the subsets of j..: (), j joined to each subset of j+1.., then the
         # nonempty subsets of j+1..
-        out = np.concatenate((out[..., :1], x[..., j, None] + out, out[..., 1:]), -1)
+        out = np.concatenate((out[:1], x[j] + out, out[1:]))
     return out
 
 
 def _side_sums(d, n):
-    """`_lex_sums` of d, N and d(N - d); leading axes of ``d`` stack
-    allocations, and the sums of N are one 1-d array."""
+    """`_lex_sums` of d and d(N - d), a column per row of ``d``, then of N and
+    of the user bits (each subset's bitmask), from one call."""
     d, n = np.asarray(d, dtype=np.int64), np.asarray(n, dtype=np.int64)
-    return _lex_sums(d), _lex_sums(n), _lex_sums(d * (n - d))
+    sums = _lex_sums(np.concatenate((d, d * (n - d), [n, 1 << np.arange(len(n))])).T)
+    return sums[:, :len(d)], sums[:, len(d):-2], sums[:, -2], sums[:, -1]
 
 
-def _violations(sd_a, sn_a, sv_a, sd_b, sn_b, sv_b):
-    """`subset_violations` from two `_side_sums`, the antenna bound as one
-    comparison per side so that the pairs take a single int64 array (with
-    more, a fresh process page-faults them in for every block)."""
-    sd_a, sv_a = sd_a[..., :, None], sv_a[..., :, None]
-    sd_b, sv_b = sd_b[..., None, :], sv_b[..., None, :]
-    bound = (sd_b > sn_a[:, None] - sd_a) & (sd_a > sn_b - sd_b)
-    count = sd_a * sd_b
-    count -= sv_a
-    return bound, count > sv_b
-
-
-def subset_violations(d_a, n_a, d_b, n_b):
-    """Which subset pairs violate each per-subset condition.
-
-    For subsets ``Ia`` of the downlink users and ``Ib`` of the uplink users:
+def first_violations(d_a, n_a, d_b, n_b):
+    """The lexicographically first subset pair violating each condition
 
     * antenna bound:   sum(d, Ia) + sum(d, Ib) <= max(sum(N, Ia), sum(N, Ib))
     * counting bound:  sum(d, Ia) * sum(d, Ib) <= sum(d(N-d), Ia) + sum(d(N-d), Ib)
 
-    ``d_a`` and ``d_b`` may stack allocations on matching leading axes.
-    Returns ``(bound, count)``, boolean arrays of shape ``(..., 2^K, 2^L)``
-    indexed by the two subsets in `_lex_sums` order.
+    over subsets ``Ia`` of the downlink and ``Ib`` of the uplink users, for
+    the allocations in the rows of ``d_a`` (R x K) and ``d_b`` (R x L).  The
+    alpha subsets are walked in `_lex_sums` order, ``BLOCK`` pairs of the
+    open rows at a time (one alpha subset's if more), until every row has
+    violated both.  Returns ``(first, masks_a, masks_b)``: ``first[r, c]``
+    is the position ``i * 2^L + j`` of row r's first violation of condition
+    c (-1 for none), ``masks_a[i]`` and ``masks_b[j]`` the subsets' bitmasks.
     """
-    return _violations(*_side_sums(d_a, n_a), *_side_sums(d_b, n_b))
+    sd_a, sv_a, sn_a, masks_a = _side_sums(d_a, n_a)
+    sd_b, sv_b, sn_b, masks_b = _side_sums(d_b, n_b)
+    width = len(masks_b)
+    rows = np.arange(sd_a.shape[1])
+    first = np.full((len(rows), 2), -1)
+    start = 0
+    while len(rows) and start < len(masks_a):
+        stop = start + max(1, BLOCK // (len(rows) * width))
+        # (alpha subset, beta subset, row) blocks, rows last for long inner
+        # loops; the counts in place, so the pairs take one int64 array
+        da, va = (s[start:stop].take(rows, 1)[:, None] for s in (sd_a, sv_a))
+        db, vb = sd_b.take(rows, 1), sv_b.take(rows, 1)
+        bound = (db > sn_a[start:stop, None, None] - da) & (da > sn_b[:, None] - db)
+        count = da * db
+        count -= va
+        for c, viol in enumerate((bound, count > vb)):
+            viol = viol.reshape(-1, len(rows))
+            hit = (first[rows, c] < 0) & viol.any(0)
+            first[rows[hit], c] = start * width + viol.argmax(0)[hit]
+        rows = rows[(first[rows] < 0).any(1)]
+        start = stop
+    return first, masks_a, masks_b
 
 
 def subset_scan(d_a, n_a, d_b, n_b):
-    """Find the lexicographically first violating subset pair per condition
-    of `subset_violations`, for one allocation, walking ``BLOCK`` pairs at a
-    time (one alpha subset's 2^L if more) until both conditions have one.
-
-    Returns ``(bound_pair, count_pair)`` where each entry is either ``None``
-    or an ``(alpha_mask, beta_mask)`` tuple of Python ints.
-    """
-    side_a, side_b = _side_sums(d_a, n_a), _side_sums(d_b, n_b)
-    masks_a, masks_b = (_lex_sums(1 << np.arange(len(n))) for n in (n_a, n_b))
-    rows = max(1, BLOCK // len(masks_b))
-    first = [None, None]
-    for start in range(0, len(masks_a), rows):
-        block = (s[start:start + rows] for s in side_a)
-        for c, viol in enumerate(_violations(*block, *side_b)):
-            if first[c] is None and viol.any():
-                r, col = divmod(int(viol.argmax()), len(masks_b))
-                first[c] = (int(masks_a[start + r]), int(masks_b[col]))
-        if None not in first:
-            break
-    return tuple(first)
+    """`first_violations` of one allocation, each pair as ``None`` or an
+    ``(alpha_mask, beta_mask)`` tuple of Python ints."""
+    first, masks_a, masks_b = first_violations([d_a], n_a, [d_b], n_b)
+    return tuple(None if p < 0 else (int(masks_a[p // len(masks_b)]),
+                                     int(masks_b[p % len(masks_b)]))
+                 for p in first[0].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ Three deciders are provided:
   holds this test is exact, which the report flags.
 
 `search_max_sum_dof` scans allocations in descending sum order and returns
-the best one passing the selected decider; it filters them as arrays and
-runs the scalar decider only on the candidates.  User indices in witnesses are
-1-based to match the (alpha, k) / (beta, l) labeling used everywhere else.
+the best one passing the selected decider; it filters them as arrays, the
+converse filter by the converse check's walk, and runs the scalar decider
+only on the candidates.  User indices in witnesses are 1-based to match the
+(alpha, k) / (beta, l) labeling used everywhere else.
 """
 
 from dataclasses import dataclass, replace
@@ -461,10 +462,10 @@ def _block_candidates(config, block, mode):
     """Which allocations of a block (rows as from `_allocation_blocks`) can
     pass the decider of ``mode``.
 
-    In necessary mode this is the verdict of 8a-8e, scanned over all subset
-    pairs of every row at once.  In sufficient mode it drops the rows that
-    `check_sufficient` fails without a draw: a failed budget, or more
-    alignment equations than variables.
+    In necessary mode this is the verdict of 8a-8e, from the bounded walk of
+    `check_necessary` over the subset pairs of all rows together.  In
+    sufficient mode it drops the rows that `check_sufficient` fails without
+    a draw: a failed budget, or more alignment equations than variables.
     """
     num_a = config.num_alpha
     d_a, d_b = block[:, :num_a], block[:, num_a:]
@@ -472,9 +473,8 @@ def _block_candidates(config, block, mode):
     keep = ((sum_a <= config.m_alpha) & (sum_b <= config.m_beta)
             & (sum_a + sum_b <= max(config.m_alpha, config.m_beta)))
     if mode == "necessary":
-        bound, count = _kernels.subset_violations(d_a, config.n_alpha,
-                                                  d_b, config.n_beta)
-        return keep & ~(bound | count).any(axis=(1, 2))
+        first = _kernels.first_violations(d_a, config.n_alpha, d_b, config.n_beta)[0]
+        return keep & (first < 0).all(axis=1)
     free = block * (np.array(config.n_alpha + config.n_beta) - block)
     return keep & (sum_a * sum_b <= free.sum(axis=1))
 

@@ -18,6 +18,11 @@ import numpy as np
 
 from .errors import ConfigError
 
+# Bound on a cell's antenna total (M, or the sum of its N).  Below it every
+# subset sum, product of two sums and sum of d(N - d) in the converse stays
+# under 2^62, so its int64 arithmetic cannot wrap.
+MAX_CELL_ANTENNAS = 1 << 31
+
 
 def _as_int(value, name):
     """``value`` as a Python int; bools and non-integral values are rejected."""
@@ -73,6 +78,11 @@ class NetworkConfig:
         for i, n in enumerate(self.n_beta):
             if n < 1:
                 raise ConfigError(f"N_beta[{i + 1}] must be >= 1, got {n}")
+        for name, total in (("M_alpha", self.m_alpha), ("M_beta", self.m_beta),
+                            ("the sum of N_alpha", sum(self.n_alpha)),
+                            ("the sum of N_beta", sum(self.n_beta))):
+            if total >= MAX_CELL_ANTENNAS:
+                raise ConfigError(f"{name} must be below 2^31, got {total}")
 
     @property
     def num_alpha(self):

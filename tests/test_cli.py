@@ -64,6 +64,26 @@ def test_check_single_mode_and_strict(ex1_config, capsys):
     assert data["verdict"] is False
 
 
+def test_check_sufficient_mode_matches_library(ex1_config, capsys):
+    code = main(["check", "--config", ex1_config, "--dof", "2,4,4;1,2",
+                 "--mode", "sufficient", "--trials", "3", "--seed", "4"])
+    assert code == 0
+    cfg = ia.NetworkConfig(10, (4, 6, 6), 13, (3, 6))
+    lib = ia.check_sufficient(cfg, ia.DofAllocation((2, 4, 4), (1, 2)), 3,
+                              ia.RngStream(4, 0))
+    assert json.loads(capsys.readouterr().out) == lib.to_dict()
+
+
+@pytest.mark.parametrize("mode", ["necessary", "sufficient"])
+def test_search_single_mode_matches_library(small_config, capsys, mode):
+    code = main(["search", "--config", small_config, "--mode", mode,
+                 "--trials", "2", "--seed", "6"])
+    assert code == 0
+    lib = ia.search_max_sum_dof(ia.NetworkConfig(4, (3, 3), 6, (2, 2)), mode, 2,
+                                ia.RngStream(6, 0))
+    assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(lib.to_dict()))
+
+
 def test_search_reports_optimal(ex1_config, capsys):
     code = main(["search", "--config", ex1_config, "--seed", "42"])
     assert code == 0
@@ -84,6 +104,29 @@ def test_symmetric_command(tmp_path, capsys):
     assert data["verdict"] is True
     assert data["certified_exact"] is True
     assert data["d_sum"] == 16
+
+
+def test_symmetric_needs_one_count_per_cell(small_config, capsys):
+    assert main(["symmetric", "--config", small_config, "--dof", "1,1;1"]) == 2
+    assert main(["symmetric", "--config", small_config]) == 2
+    assert capsys.readouterr().err.count("one value per cell") == 2
+
+
+def test_commands_without_dof_exit_2(small_config, capsys):
+    for command in ("check", "construct"):
+        assert main([command, "--config", small_config]) == 2
+    assert capsys.readouterr().err.count("--dof is required for this command") == 2
+
+
+def test_antenna_totals_beyond_int64_range_exit_2(tmp_path, capsys):
+    # 1e20 is integral, so only the antenna-total bound keeps it out of the
+    # converse's int64 arithmetic
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"M_alpha": 4, "N_alpha": [1e20],
+                                "M_beta": 4, "N_beta": [2]}))
+    assert main(["check", "--config", str(path), "--dof", "1;1"]) == 2
+    assert main(["symmetric", "--config", str(path), "--dof", "1;1"]) == 2
+    assert capsys.readouterr().err.count("sum of N_alpha must be below 2^31") == 2
 
 
 def test_construct_reports_residuals(small_config, capsys):
@@ -119,6 +162,18 @@ def test_simulate_leakage_csv(small_config, tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "iteration,total_leakage,leakage_alpha_1,leakage_alpha_2"
     assert len(lines) >= 2
+
+
+def test_simulate_leakage_json_mirrors_csv(small_config, capsys):
+    args = ["simulate-leakage", "--config", small_config, "--dof", "2,2;1,1",
+            "--iters", "50", "--seed", "2"]
+    assert main(args) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.split()[1:]]
+    assert main(args + ["--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["converged"] in (True, False)
+    assert data["totals"] == [float(row[1]) for row in rows]
+    assert data["per_user"] == [[float(v) for v in row[2:]] for row in rows]
 
 
 def test_simulate_sumrate_reproducible(small_config, tmp_path):

@@ -12,7 +12,8 @@ from ia_rtdd import (BudgetError, ConfigError, DofAllocation, MatchingError,
                      NetworkConfig, RngStream, SubsetLimitError, _kernels,
                      feasibility)
 
-from oracles import (brute_necessary, brute_symmetric_counting, iter_allocations,
+from oracles import (brute_first_violations, brute_necessary,
+                     brute_symmetric_counting, iter_allocations,
                      per_block_alignment_matrix, reference_search)
 
 EX1 = NetworkConfig(10, (4, 6, 6), 13, (3, 6))
@@ -95,6 +96,27 @@ class TestNecessary:
         for bad in (21.5, True, "21"):
             with pytest.raises(ConfigError, match="subset_limit"):
                 ia.check_necessary(cfg, dof, subset_limit=bad)
+
+    def test_antenna_totals_stay_in_int64_range(self):
+        # with 3.5e9 streams per user d * d wraps in int64 and 8e would read
+        # as passing, though ({1}, {1}) violates it
+        d = 3_500_000_000
+        with pytest.raises(ConfigError, match=r"M_alpha must be below 2\^31"):
+            NetworkConfig(4 * d, (d + 1,), 4 * d, (d + 1,))
+        with pytest.raises(ConfigError, match=r"sum of N_beta must be below 2\^31"):
+            NetworkConfig(8, (2,), 8, (1 << 30, 1 << 30))
+        # just below the bound every subset sum and product is exact
+        top = (1 << 31) - 1
+        cfg = NetworkConfig(top, (1 << 30, (1 << 30) - 1), top, (top,))
+        for dof in (DofAllocation((1 << 30, (1 << 30) - 1), (top,)),
+                    DofAllocation((1 << 29, 1 << 29), (1 << 30,)),
+                    DofAllocation((1, 0), (top - 1,))):
+            report = ia.check_necessary(cfg, dof)
+            for cid, want in zip(("8d", "8e"), brute_first_violations(
+                    cfg, dof.d_alpha, dof.d_beta)):
+                assert report.condition(cid).witness == (want and {
+                    "I_alpha": [k + 1 for k in want[0]],
+                    "I_beta": [l + 1 for l in want[1]]})
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.data())
@@ -437,6 +459,24 @@ class TestSearch:
         assert result["necessary"].d_sum == 12
         assert result["sufficient"].d_sum == 12
         assert result["sufficient"].allocation == DofAllocation((2, 2, 4), (1, 3))
+
+    @pytest.mark.parametrize("config, bound, rank, rows", [
+        (NetworkConfig(3, (3, 6), 12, (1, 7)), "1,2;1,5", 17, 18),
+        (NetworkConfig(12, (2, 5), 3, (1, 5, 4)), "2,3;0,2,1", 14, 15),
+        (NetworkConfig(11, (3, 7), 5, (8, 3)), "2,4;4,1", 28, 30),
+        (NetworkConfig(12, (6, 1), 3, (4, 4)), "4,1;1,2", 14, 15)])
+    def test_census_gaps(self, config, bound, rank, rows):
+        # networks from a census of 3000 random ones where the converse bound
+        # sits one stream above the certified maximum: the bound allocation's
+        # alignment matrix falls short of full row rank in every draw
+        result = ia.search_optimal(config)
+        bound = DofAllocation.parse(bound)
+        assert result["necessary"].allocation == bound
+        assert result["necessary"].d_sum == bound.total
+        assert result["sufficient"].d_sum == bound.total - 1
+        assert not result["optimal"] and result["gap"] == 1
+        witness = ia.check_sufficient(config, bound).condition("rank").witness
+        assert (witness["rows"], witness["ranks"]) == (rows, [rank] * 5)
 
     def test_minimal_network(self):
         cfg = NetworkConfig(1, (1,), 1, (1,))

@@ -24,18 +24,23 @@ def test_mask_lex_order_matches_tuple_order():
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_stacked_violations_match_one_allocation_at_a_time(seed):
+def test_stacked_violations_match_one_allocation_at_a_time(seed, monkeypatch):
+    # six allocations walked together against each walked alone, with the
+    # default blocks, blocks of one alpha subset and blocks of 7 pairs, so
+    # that the rows of one walk finish in different blocks
     rng = np.random.default_rng(200 + seed)
     k, l = (int(v) for v in rng.integers(1, 5, size=2))
     n_a, n_b = rng.integers(1, 7, size=k), rng.integers(1, 7, size=l)
     d_a = rng.integers(0, n_a + 1, size=(6, k))
     d_b = rng.integers(0, n_b + 1, size=(6, l))
-    bound, count = _kernels.subset_violations(d_a, n_a, d_b, n_b)
-    assert bound.shape == count.shape == (6, 1 << k, 1 << l)
-    for i in range(6):
-        one_bound, one_count = _kernels.subset_violations(d_a[i], n_a, d_b[i], n_b)
-        assert np.array_equal(bound[i], one_bound)
-        assert np.array_equal(count[i], one_count)
+    for block in (_kernels.BLOCK, 1, 7):
+        monkeypatch.setattr(_kernels, "BLOCK", block)
+        first, masks_a, masks_b = _kernels.first_violations(d_a, n_a, d_b, n_b)
+        assert first.shape == (6, 2)
+        assert masks_a.shape == (1 << k,) and masks_b.shape == (1 << l,)
+        for i in range(6):
+            one = _kernels.first_violations(d_a[i:i + 1], n_a, d_b[i:i + 1], n_b)
+            assert first[i].tolist() == one[0][0].tolist()
 
 
 def _assert_scan_matches_oracle(rng, max_users, max_antennas):
@@ -75,6 +80,21 @@ def test_scan_memory_is_bounded_by_the_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+def test_search_memory_is_bounded_by_the_block():
+    # each allocation of an 11+11-user network has 2^22 subset pairs; the
+    # search filter walks them in blocks too (32 MiB per int64 array at once)
+    cfg = NetworkConfig(1, (1,) * 11, 1, (1,) * 11)
+    tracemalloc.start()
+    try:
+        result = ia.search_max_sum_dof(cfg, "necessary", subset_limit=22,
+                                       budget=1 << 23)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.d_sum == 1
     assert peak < 4 << 20
 
 
