@@ -6,7 +6,11 @@ feasibility conditions.  The alignment loop takes and returns the filters
 as per-user tuples, the form `beamform` uses everywhere else.
 """
 
+import math
+
 import numpy as np
+
+from .model import _guard_entries
 
 BACKEND = "numpy"
 # Elements of the widest array in one block of the subset scan or of the DoF
@@ -45,6 +49,7 @@ def fix_column_phases(mat):
 def _lex_sums(x):
     """Sums of ``x`` over every subset of its first axis (later axes stack), in
     the lexicographic order of the subsets' sorted indices: (), (0,), (0, 1), (1,)."""
+    _guard_entries((1 << len(x)) * math.prod(np.shape(x)[1:]), "a subset-sum table")
     out = np.zeros((1,) + np.shape(x)[1:], dtype=np.int64)
     for j in reversed(range(len(x))):
         # the subsets of j..: (), j joined to each subset of j+1.., then the
@@ -126,19 +131,22 @@ def _gram(t):
     return t @ np.ascontiguousarray(t.conj().swapaxes(-1, -2))
 
 
-def _weakest(members, group, blocks, weights, filters, order):
+def _weakest(members, group, blocks, weights, filters):
     """Update one shape group's filters from the other side's.
 
-    The covariance ``sum w (B F)(B F)^H`` adds one term per other-side user
-    in user order ``order``; ``blocks``, ``weights`` and ``filters`` are per
-    other-side group.  Returns the eigenvalues and the ``d`` weakest
-    eigenvectors, phase-fixed.
+    The covariance ``sum w (B F)(B F)^H`` adds one term per other-side user,
+    group by group and in user order within a group; ``blocks``, ``weights``
+    and ``filters`` are per other-side group.  (numpy's sum over the users'
+    axis would not keep that order: with 1 x 1 covariances its result
+    differs from the in-order fold from four users on.)  Returns the
+    eigenvalues and the ``d`` weakest eigenvectors, phase-fixed.
     """
     (n, d), users = group
-    terms = [w * _gram(b @ f[:, None]) for b, w, f in zip(blocks, weights, filters)]
     cov = np.zeros((members, len(users), n, n), dtype=np.complex128)
-    for _, b, pos in order:
-        cov += terms[b][:, :, pos]
+    for b, w, f in zip(blocks, weights, filters):
+        term = w * _gram(b @ f[:, None])
+        for pos in range(term.shape[2]):
+            cov += term[:, :, pos]
     vals, vecs = np.linalg.eigh(cov)
     return vals, np.ascontiguousarray(fix_column_phases(vecs[..., :d]))
 
@@ -168,15 +176,12 @@ def alignment_loop(g_cross, n_alpha, n_beta, d_alpha, d_beta,
     """
     # Users with streams, grouped by filter shape: each group's products,
     # eigh and phase fix run as one stacked call over the members and the
-    # group's users.  The covariances still add one user's term at a time in
-    # user order, so the arithmetic is that of a per-user loop.  Stacks carry
-    # the members first: u[i] is (members, users, n, d).
+    # group's users.  The covariances add one user's term at a time, the
+    # other side's groups in turn, so the arithmetic is that of a per-user
+    # loop over the users in group order.  Stacks carry the members first:
+    # u[i] is (members, users, n, d).
     ga = _shape_groups(n_alpha, d_alpha)
     gb = _shape_groups(n_beta, d_beta)
-    order_a = sorted((k, i, pos) for i, (_, ks) in enumerate(ga)
-                     for pos, k in enumerate(ks))
-    order_b = sorted((l, j, pos) for j, (_, ls) in enumerate(gb)
-                     for pos, l in enumerate(ls))
     w_alpha = np.array(w_alpha, dtype=float).reshape(len(w_alpha), len(n_alpha))
     w_beta = np.array(w_beta, dtype=float).reshape(len(w_beta), len(n_beta))
     members = len(w_alpha)
@@ -204,9 +209,9 @@ def alignment_loop(g_cross, n_alpha, n_beta, d_alpha, d_beta,
             totals, per_user = (np.concatenate((rec, np.zeros((rows,) + rec.shape[1:])))
                                 for rec in (totals, per_user))
         for j, group in enumerate(gb):
-            _, v[j] = _weakest(members, group, g_h[j], w_a, u, order_a)
+            _, v[j] = _weakest(members, group, g_h[j], w_a, u)
         for i, group in enumerate(ga):
-            vals, u[i] = _weakest(members, group, g[i], w_b, v, order_b)
+            vals, u[i] = _weakest(members, group, g[i], w_b, v)
             # a user's leakage adds its kept positive eigenvalues in order
             # (cumsum adds in order; NaN counts as 0.0)
             (_, da), ks = group

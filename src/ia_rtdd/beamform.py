@@ -23,7 +23,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConfigError, SingularSystemError
-from .model import RngStream, _as_int, complex_gaussian, validate_config
+from .model import (RngStream, _as_int, _guard_entries, complex_gaussian,
+                    validate_config)
 
 COND_LIMIT = 1e12
 FLOAT_FORMAT = "%.9g"  # every float written to CSV or JSON output
@@ -39,8 +40,9 @@ class PowerProfile:
     def __post_init__(self):
         object.__setattr__(self, "p_alpha", tuple(float(p) for p in self.p_alpha))
         object.__setattr__(self, "p_beta", tuple(float(p) for p in self.p_beta))
-        if any(p < 0 for p in self.p_alpha) or any(p < 0 for p in self.p_beta):
-            raise ConfigError("transmit powers must be >= 0")
+        # a NaN or +inf power would reach eigh as a non-finite covariance
+        if not all(0 <= p < np.inf for p in self.p_alpha + self.p_beta):
+            raise ConfigError("transmit powers must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -143,6 +145,12 @@ def iterate_alignment_batch(channels, dof, profiles, opts=None, rng=None):
     if rng is None:
         rng = RngStream(0, 1)
     config = channels.config
+    # the loop's covariance stacks, one per filter shape, hold more entries
+    # than the initial filters
+    for (n, _), users in (_kernels._shape_groups(config.n_alpha, dof.d_alpha)
+                          + _kernels._shape_groups(config.n_beta, dof.d_beta)):
+        _guard_entries(len(profiles) * len(users) * n * n,
+                       "a stage-1 covariance stack")
     u0 = init_postcoders(config, dof, rng)
     w_alpha = [[p / d if d else 0.0 for p, d in zip(powers.p_alpha, dof.d_alpha)]
                for powers in profiles]
@@ -193,6 +201,8 @@ def zero_force_step2(channels, dof, u_alpha, v_beta):
     """
     config = channels.config
     sum_a, sum_b = dof.sum_alpha, dof.sum_beta
+    _guard_entries((sum_a + sum_b) * max(config.m_alpha, config.m_beta),
+                   "a stage-2 stack")
     g_bs = channels.g_bs
     a = np.vstack([u.conj().T @ h for u, h in zip(u_alpha, channels.h_alpha)])
     b = np.hstack([h @ v for h, v in zip(channels.h_beta, v_beta)])

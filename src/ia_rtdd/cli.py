@@ -135,24 +135,19 @@ def _cmd_check(args):
     config = _load_config(args.config)
     dof = _parse_dof(args, config)
     limit = _subset_limit()
-    if args.mode == "necessary":
-        report = feasibility.check_necessary(config, dof, limit)
-        _emit_json(report.to_dict(), args.out)
-        feasible = report.verdict
-    elif args.mode == "sufficient":
-        report = feasibility.check_sufficient(config, dof, args.trials,
-                                              RngStream(args.seed, 0))
-        _emit_json(report.to_dict(), args.out)
-        feasible = report.verdict
-    else:
-        necessary = feasibility.check_necessary(config, dof, limit)
-        sufficient = feasibility.check_sufficient(config, dof, args.trials,
-                                                  RngStream(args.seed, 0))
-        _emit_json({"necessary": necessary.to_dict(),
-                    "sufficient": sufficient.to_dict(),
-                    "feasible": bool(sufficient.verdict)}, args.out)
-        feasible = sufficient.verdict
-    return 1 if args.strict and not feasible else 0
+    reports = {}
+    if args.mode != "sufficient":
+        reports["necessary"] = feasibility.check_necessary(config, dof, limit)
+    if args.mode != "necessary":
+        reports["sufficient"] = feasibility.check_sufficient(
+            config, dof, args.trials, RngStream(args.seed, 0))
+    # the sufficient report decides whenever it was asked for
+    decisive = list(reports.values())[-1]
+    data = (reports[args.mode].to_dict() if args.mode else
+            {**{name: r.to_dict() for name, r in reports.items()},
+             "feasible": bool(decisive.verdict)})
+    _emit_json(data, args.out)
+    return 1 if args.strict and not decisive.verdict else 0
 
 
 def _cmd_search(args):
@@ -160,28 +155,24 @@ def _cmd_search(args):
     limit = _subset_limit()
     rng = RngStream(args.seed, 0)
     if args.mode:
-        result = feasibility.search_max_sum_dof(config, args.mode, args.trials,
-                                                rng, subset_limit=limit)
-        data = result.to_dict()
-        d_sum = result.d_sum
+        data = feasibility.search_max_sum_dof(config, args.mode, args.trials,
+                                              rng, subset_limit=limit).to_dict()
     else:
         both = feasibility.search_optimal(config, args.trials, rng,
                                           subset_limit=limit)
-        suff = both["sufficient"]
+        suff = both["sufficient"].to_dict()
         data = {
-            "d_sum": suff.d_sum,
+            "d_sum": suff["d_sum"],
             "optimal": both["optimal"],
             "gap": both["gap"],
             "necessary_bound": both["necessary"].d_sum,
-            "sufficient_certified": suff.d_sum,
-            "allocation": {"d_alpha": list(suff.allocation.d_alpha),
-                           "d_beta": list(suff.allocation.d_beta)},
+            "sufficient_certified": suff["d_sum"],
+            "allocation": suff["allocation"],
             "necessary": both["necessary"].to_dict(),
-            "sufficient": suff.to_dict(),
+            "sufficient": suff,
         }
-        d_sum = suff.d_sum
     _emit_json(data, args.out)
-    return 1 if args.strict and d_sum == 0 else 0
+    return 1 if args.strict and data["d_sum"] == 0 else 0
 
 
 def _cmd_symmetric(args):
@@ -225,21 +216,24 @@ def _cmd_construct(args):
     return 0
 
 
+def _emit_table(args, data, write_csv):
+    """``data`` as JSON under ``--format json``, else the CSV of ``write_csv``."""
+    if args.format == "json":
+        _emit_json(data, args.out)
+    else:
+        buf = io.StringIO()
+        write_csv(buf)
+        _emit(buf.getvalue(), args.out)
+    return 0
+
+
 def _cmd_simulate_leakage(args):
     config = _load_config(args.config)
     dof = _parse_dof(args, config)
     _, (_, _, trace) = _pipeline(args, config, dof, iterate_alignment)
-    if args.format == "json":
-        _emit_json({
-            "converged": trace.converged,
-            "totals": list(trace.totals),
-            "per_user": trace.per_user.tolist(),
-        }, args.out)
-    else:
-        buf = io.StringIO()
-        trace.write_csv(buf)
-        _emit(buf.getvalue(), args.out)
-    return 0
+    return _emit_table(args, {"converged": trace.converged,
+                              "totals": list(trace.totals),
+                              "per_user": trace.per_user.tolist()}, trace.write_csv)
 
 
 def _cmd_simulate_sumrate(args):
@@ -249,13 +243,7 @@ def _cmd_simulate_sumrate(args):
     opts = IterationOptions(max_iters=args.iters)
     result = evaluate.monte_carlo_sweep(config, dof, grid, args.trials, opts,
                                         args.seed)
-    if args.format == "json":
-        _emit_json(result.to_dict(), args.out)
-    else:
-        buf = io.StringIO()
-        result.write_csv(buf)
-        _emit(buf.getvalue(), args.out)
-    return 0
+    return _emit_table(args, result.to_dict(), result.write_csv)
 
 
 def build_parser():

@@ -25,7 +25,7 @@ from .beamform import (FLOAT_FORMAT, BeamformerSet, PowerProfile,
                        iterate_alignment_batch, normalize, zero_force_step2,
                        _link_blocks)
 from .errors import ConfigError, NumericalError, SingularSystemError
-from .model import (DofAllocation, RngStream, sample_channels,
+from .model import (DofAllocation, RngStream, _guard_entries, sample_channels,
                     validate_config, validate_trials)
 
 _LN2 = math.log(2.0)
@@ -121,6 +121,9 @@ def _single_cell_links(channels, config):
     """
     d_a = _round_robin_streams(config.n_alpha, config.m_alpha)
     d_b = _round_robin_streams(config.n_beta, config.m_beta)
+    # full SVDs: each direct channel's square factors
+    _guard_entries(max(config.m_alpha, config.m_beta, *config.n_alpha,
+                       *config.n_beta) ** 2, "a single-cell SVD factor")
     u_alpha = tuple(np.linalg.svd(h)[0][:, :s] for h, s in zip(channels.h_alpha, d_a))
     v_beta = tuple(np.linalg.svd(h)[2].conj().T[:, :s]
                    for h, s in zip(channels.h_beta, d_b))
@@ -177,43 +180,42 @@ class SweepResult:
     trials: int
     seed: int
 
+    def rows(self):
+        """One `_sweep_row` per grid point: the JSON rows and the CSV lines."""
+        return [_sweep_row(*point) for point in zip(
+            self.snr_db, self.mean_sum_rate, self.mean_alpha, self.mean_beta,
+            self.baseline_single_cell, self.baseline_p2p, self.trials_ok,
+            self.trials_failed)]
+
     def write_csv(self, fh):
-        k_users = len(self.mean_alpha[0]) if self.mean_alpha else 0
-        l_users = len(self.mean_beta[0]) if self.mean_beta else 0
-        header = ["snr_db", "mean_sum_rate"]
-        header += [f"mean_rate_alpha_{k + 1}" for k in range(k_users)]
-        header += [f"mean_rate_beta_{l + 1}" for l in range(l_users)]
-        header += ["baseline_single_cell", "baseline_p2p", "trials_ok",
-                   "trials_failed"]
-        fh.write(",".join(header) + "\n")
-        for i in range(len(self.snr_db)):
-            row = [FLOAT_FORMAT % self.snr_db[i],
-                   FLOAT_FORMAT % self.mean_sum_rate[i]]
-            row += [FLOAT_FORMAT % v for v in self.mean_alpha[i]]
-            row += [FLOAT_FORMAT % v for v in self.mean_beta[i]]
-            row += [FLOAT_FORMAT % self.baseline_single_cell[i],
-                    FLOAT_FORMAT % self.baseline_p2p[i],
-                    str(self.trials_ok[i]), str(self.trials_failed[i])]
-            fh.write(",".join(row) + "\n")
+        rows = [dict(_csv_cells(row)) for row in self.rows()]
+        # an empty grid has no users to number: the header of a row without any
+        fh.write(",".join(rows[0] if rows else dict(_csv_cells(_sweep_row(*[()] * 8))))
+                 + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) if isinstance(v, int) else FLOAT_FORMAT % v
+                              for v in row.values()) + "\n")
 
     def to_dict(self):
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "rows": [
-                {
-                    "snr_db": self.snr_db[i],
-                    "mean_sum_rate": self.mean_sum_rate[i],
-                    "mean_rate_alpha": list(self.mean_alpha[i]),
-                    "mean_rate_beta": list(self.mean_beta[i]),
-                    "baseline_single_cell": self.baseline_single_cell[i],
-                    "baseline_p2p": self.baseline_p2p[i],
-                    "trials_ok": self.trials_ok[i],
-                    "trials_failed": self.trials_failed[i],
-                }
-                for i in range(len(self.snr_db))
-            ],
-        }
+        return {"seed": self.seed, "trials": self.trials, "rows": self.rows()}
+
+
+def _sweep_row(snr_db, mean_sum_rate, alpha, beta, single_cell, p2p, ok, failed):
+    """A `SweepResult` grid point, keys in column order; per-user means as lists."""
+    return {"snr_db": snr_db, "mean_sum_rate": mean_sum_rate,
+            "mean_rate_alpha": list(alpha), "mean_rate_beta": list(beta),
+            "baseline_single_cell": single_cell, "baseline_p2p": p2p,
+            "trials_ok": ok, "trials_failed": failed}
+
+
+def _csv_cells(row):
+    """A row's ``(column, value)`` cells, each list spread over columns
+    numbered from 1."""
+    for key, value in row.items():
+        if isinstance(value, list):
+            yield from ((f"{key}_{i + 1}", v) for i, v in enumerate(value))
+        else:
+            yield key, value
 
 
 def monte_carlo_sweep(config, dof, snr_grid_db, trials, opts=None, seed=0):

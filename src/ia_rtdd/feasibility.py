@@ -28,7 +28,8 @@ import numpy as np
 from . import _kernels
 from .errors import BudgetError, ConfigError, MatchingError, SubsetLimitError
 from .model import (ChannelSet, DofAllocation, NetworkConfig, RngStream,
-                    _as_int, sample_channels, validate_config, validate_trials)
+                    _as_int, _guard_entries, sample_channels, validate_config,
+                    validate_trials)
 
 DEFAULT_SUBSET_LIMIT = 20
 DEFAULT_SEARCH_BUDGET = 2_000_000
@@ -177,6 +178,7 @@ def build_alignment_matrix(channels, dof):
     config, _ = validate_config(channels.config, dof)
     rows, cols = _alignment_offsets(config, dof)
     num_alpha, num_beta = config.num_alpha, config.num_beta
+    _guard_entries(rows[-1] * cols[-1], "the alignment matrix")
     mat = np.zeros((rows[-1], cols[-1]), dtype=np.complex128)
     for k, da in enumerate(dof.d_alpha):
         for l, db in enumerate(dof.d_beta):

@@ -22,6 +22,19 @@ from .errors import ConfigError
 # subset sum, product of two sums and sum of d(N - d) in the converse stays
 # under 2^62, so its int64 arithmetic cannot wrap.
 MAX_CELL_ANTENNAS = 1 << 31
+# Bound on the entries of any one array that the network or the allocation
+# sizes: a channel draw, a stage-1 covariance stack, a stage-2 stack, a
+# single-cell SVD factor, the alignment matrix, a subset-sum table.  Larger
+# inputs are refused before the array is allocated.
+MAX_ARRAY_ENTRIES = 1 << 26
+
+
+def _guard_entries(entries, what):
+    """Raise `ConfigError` when ``what`` would hold more than
+    MAX_ARRAY_ENTRIES entries."""
+    if entries > MAX_ARRAY_ENTRIES:
+        raise ConfigError(f"{what} would hold {entries} entries, more than the "
+                          f"limit of 2^26 per array")
 
 
 def _as_int(value, name):
@@ -265,6 +278,9 @@ def sample_channels(config, rng):
     beta links, BS-to-BS link) so a given `RngStream` always yields a
     bit-identical `ChannelSet`.
     """
+    sum_a, sum_b = sum(config.n_alpha), sum(config.n_beta)
+    _guard_entries(sum_a * (config.m_alpha + sum_b)
+                   + config.m_beta * (sum_b + config.m_alpha), "the channel draw")
     g = rng.generator()
     h_alpha = tuple(_freeze(complex_gaussian(g, n, config.m_alpha))
                     for n in config.n_alpha)

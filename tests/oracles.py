@@ -136,9 +136,20 @@ def per_user_alignment_loop(g_cross, n_alpha, n_beta, d_alpha, d_beta,
     """One user at a time, the reference for `_kernels.alignment_loop`.
 
     Same arguments, returns and arithmetic (operands, summation order, eigh
-    inputs and stopping test), so the two must agree bit for bit.
+    inputs and stopping test), so the two must agree bit for bit.  A
+    covariance adds the other side's users in group order: users of one
+    filter shape ``(N, d)`` together, the shapes in order of first
+    appearance, each shape's users in index order.  The leakage totals add
+    the users in index order.
     """
     K, L = len(n_alpha), len(n_beta)
+
+    def group_order(n, d):
+        shapes = list(dict.fromkeys((n_i, d_i) for n_i, d_i in zip(n, d) if d_i))
+        return sorted((i for i in range(len(n)) if d[i]),
+                      key=lambda i: (shapes.index((n[i], d[i])), i))
+
+    order_a, order_b = group_order(n_alpha, d_alpha), group_order(n_beta, d_beta)
     u = [np.ascontiguousarray(m) for m in u0]
     v = [np.zeros((n, 0), dtype=complex) for n in n_beta]
     totals, per_user = [], []
@@ -163,18 +174,16 @@ def per_user_alignment_loop(g_cross, n_alpha, n_beta, d_alpha, d_beta,
         for l in range(L):
             if d_beta[l]:
                 cov = np.zeros((n_beta[l], n_beta[l]), dtype=complex)
-                for k in range(K):
-                    if d_alpha[k]:
-                        g_h = np.ascontiguousarray(g_cross[k][l].conj().T)
-                        cov += w_alpha[k] * gram(g_h @ u[k])
+                for k in order_a:
+                    g_h = np.ascontiguousarray(g_cross[k][l].conj().T)
+                    cov += w_alpha[k] * gram(g_h @ u[k])
                 v[l] = phase_fixed(np.linalg.eigh(cov)[1], d_beta[l])
         leaks = np.zeros(K)
         for k in range(K):
             if d_alpha[k]:
                 cov = np.zeros((n_alpha[k], n_alpha[k]), dtype=complex)
-                for l in range(L):
-                    if d_beta[l]:
-                        cov += w_beta[l] * gram(g_cross[k][l] @ v[l])
+                for l in order_b:
+                    cov += w_beta[l] * gram(g_cross[k][l] @ v[l])
                 vals, vecs = np.linalg.eigh(cov)
                 u[k] = phase_fixed(vecs, d_alpha[k])
                 leaks[k] = sum(x for x in vals[:d_alpha[k]] if x > 0.0)

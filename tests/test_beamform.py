@@ -134,6 +134,16 @@ class TestIterateAlignment:
         assert IterationOptions(max_iters=np.int64(7)).max_iters == 7
         assert type(IterationOptions(max_iters=7.0).max_iters) is int
 
+    def test_option_and_power_errors(self):
+        with pytest.raises(ConfigError, match="leakage_stop must be > 0"):
+            IterationOptions(leakage_stop=0)
+        # a NaN or +inf power used to reach eigh and end in numpy's LinAlgError
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="transmit powers must be finite and >= 0"):
+                PowerProfile((1.0,), (bad,))
+            with pytest.raises(ConfigError, match="transmit powers must be finite and >= 0"):
+                PowerProfile((bad, 1.0), (1.0,))
+
     def test_bit_identical_reruns(self):
         ch = ia.sample_channels(SIM, RngStream(21, 0))
         powers = unit_powers(SIM)

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -129,6 +131,68 @@ def test_antenna_totals_beyond_int64_range_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.count("sum of N_alpha must be below 2^31") == 2
 
 
+@pytest.mark.parametrize("config, argv, message", [
+    # 2^20 x 2^30 downlink draws
+    ({"M_alpha": 2 ** 30, "N_alpha": [2 ** 20], "M_beta": 2, "N_beta": [1]},
+     ["construct", "--dof", "1;1"],
+     "the channel draw would hold 1125902055374850 entries"),
+    ({"M_alpha": 2 ** 30, "N_alpha": [2 ** 20], "M_beta": 2, "N_beta": [1]},
+     ["check", "--dof", "1;1"], "the channel draw would hold 1125902055374850 entries"),
+    # draws of 2^20 entries, a 2^20 x 2^20 stage-1 covariance and full SVD
+    ({"M_alpha": 1, "N_alpha": [2 ** 20], "M_beta": 1, "N_beta": [1]},
+     ["construct", "--dof", "1;1"],
+     "a stage-1 covariance stack would hold 1099511627776 entries"),
+    ({"M_alpha": 1, "N_alpha": [2 ** 20], "M_beta": 1, "N_beta": [1]},
+     ["simulate-leakage", "--dof", "1;1"],
+     "a stage-1 covariance stack would hold 1099511627776 entries"),
+    ({"M_alpha": 1, "N_alpha": [2 ** 20], "M_beta": 1, "N_beta": [1]},
+     ["simulate-sumrate", "--dof", "1;1", "--snr", "10", "--trials", "1"],
+     "a single-cell SVD factor would hold 1099511627776 entries"),
+    # a 262144 x 524288 alignment matrix
+    ({"M_alpha": 1024, "N_alpha": [1024], "M_beta": 1024, "N_beta": [1024]},
+     ["check", "--mode", "sufficient", "--dof", "512;512"],
+     "the alignment matrix would hold 137438953472 entries"),
+])
+def test_oversized_arrays_exit_2_before_allocating(tmp_path, capsys, config, argv,
+                                                   message):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(config))
+    tracemalloc.start()
+    try:
+        code = main([argv[0], "--config", str(path), *argv[1:]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert message + ", more than the limit of 2^26 per array" in capsys.readouterr().err
+    # the largest array built is a draw of at most 2^22 entries (64 MiB)
+    assert peak < 2 ** 27
+    # the converse sizes none of these arrays and still answers
+    assert main(["check", "--config", str(path), "--mode", "necessary",
+                 "--dof", "1;1"]) == 0
+
+
+def test_subset_sum_table_beyond_the_bound_exits_2(tmp_path, capsys, monkeypatch):
+    # with the subset guard raised, a cell of 25 users would need 2^25 subset
+    # sums of four columns
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"M_alpha": 1, "N_alpha": [1] * 25,
+                                "M_beta": 1, "N_beta": [1]}))
+    monkeypatch.setenv("IA_RTDD_MAX_SUBSET_USERS", "26")
+    dof = ",".join(["0"] * 25) + ";0"
+    tracemalloc.start()
+    try:
+        code = main(["check", "--config", str(path), "--dof", dof,
+                     "--mode", "necessary"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert ("a subset-sum table would hold 134217728 entries"
+            in capsys.readouterr().err)
+    assert peak < 2 ** 20
+
+
 def test_construct_reports_residuals(small_config, capsys):
     code = main(["construct", "--config", small_config, "--dof", "2,2;1,1",
                  "--iters", "300", "--snr", "20", "--seed", "5"])
@@ -196,6 +260,44 @@ def test_simulate_sumrate_json_mirror(small_config, capsys):
     data = json.loads(capsys.readouterr().out)
     assert len(data["rows"]) == 1
     assert data["rows"][0]["trials_ok"] == 1
+
+
+def test_simulate_sumrate_json_mirrors_csv(small_config, capsys, monkeypatch):
+    # value for value, per-user lists against their numbered columns, with a
+    # grid point whose every trial failed (NaN in CSV, null in JSON)
+    args = ["simulate-sumrate", "--config", small_config, "--dof", "2,2;1,1",
+            "--snr", "0:10:20", "--trials", "2", "--iters", "40", "--seed", "3"]
+    complete = evaluate.complete_beamformers
+
+    def fail_at_20_db(channels, dof, u_alpha, v_beta):
+        # the sweep completes each trial's grid points in turn
+        fail_at_20_db.calls += 1
+        if fail_at_20_db.calls % 3 == 0:
+            raise ia.SingularSystemError("forced failure")
+        return complete(channels, dof, u_alpha, v_beta)
+
+    fail_at_20_db.calls = 0
+    monkeypatch.setattr(evaluate, "complete_beamformers", fail_at_20_db)
+    outputs = []
+    for fmt in ("csv", "json"):
+        fail_at_20_db.calls = 0
+        assert main(args + ["--format", fmt]) == 0
+        outputs.append(capsys.readouterr().out)
+    header, *lines = (line.split(",") for line in outputs[0].split())
+    data = _strict_json(outputs[1])
+    assert (data["seed"], data["trials"]) == (3, 2)
+    assert len(data["rows"]) == len(lines) == 3
+    assert data["rows"][2]["trials_ok"] == 0 and data["rows"][2]["mean_sum_rate"] is None
+    for row, line in zip(data["rows"], lines):
+        flat = {}
+        for key, value in row.items():
+            if isinstance(value, list):
+                flat.update((f"{key}_{i + 1}", v) for i, v in enumerate(value))
+            else:
+                flat[key] = value
+        assert list(flat) == header
+        for value, cell in zip(flat.values(), line):
+            assert (value is None and math.isnan(float(cell))) or value == float(cell)
 
 
 def _strict_json(text):
@@ -371,4 +473,74 @@ def test_fuzzed_arguments_exit_cleanly(tiny_config, command, dof, snr, seed,
             code = main(argv)
         except SystemExit as exc:  # argparse rejects a malformed option
             code = exc.code
+    assert code in (0, 1, 2)
+
+
+# JSON values for the config fuzz: integers that pass the guards stay below 5,
+# the others lie past 2^31 and are refused before any work.  Well-formed
+# fields are drawn most often, so that most examples run their command.
+_JSON_SCALARS = st.one_of(
+    st.integers(-2, 4), st.sampled_from([2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1, 2 ** 40]),
+    st.sampled_from([2.0, 2.5, -0.0, 1e20, float("nan"), float("inf")]),
+    st.booleans(), st.none(), st.sampled_from(["", "3", "abc"]))
+_JSON_VALUES = st.recursive(_JSON_SCALARS, lambda inner: st.lists(inner, max_size=3),
+                            max_leaves=4)
+_USERS = st.lists(st.integers(1, 4), min_size=1, max_size=4)
+
+
+@st.composite
+def _configs(draw):
+    """A config object whose fields are well-formed three times in four, else
+    any JSON value (0-4 users per cell either way); each key is left out one
+    time in eight, and an extra key may be present."""
+    def field(good):
+        return draw(good if draw(st.sampled_from([True] * 3 + [False])) else
+                    st.one_of(_JSON_VALUES, st.lists(_JSON_VALUES, max_size=4)))
+
+    config = {"M_alpha": field(st.integers(1, 4)), "N_alpha": field(_USERS),
+              "M_beta": field(st.integers(1, 4)), "N_beta": field(_USERS)}
+    config = {key: value for key, value in config.items()
+              if draw(st.sampled_from([True] * 7 + [False]))}
+    if draw(st.booleans()):
+        config["note"] = draw(_JSON_VALUES)
+    return config
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config_fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(["check", "search", "symmetric", "construct",
+                                "simulate-leakage", "simulate-sumrate"]),
+       config=_configs(),
+       streams=st.integers(0, 2), mode=st.sampled_from([[], ["--mode=necessary"],
+                                                        ["--mode=sufficient"]]))
+@example(command="construct", streams=1, mode=[],
+         config={"M_alpha": 2 ** 31 - 1, "N_alpha": [1], "M_beta": 1, "N_beta": [1]})
+@example(command="simulate-sumrate", streams=1, mode=[],
+         config={"M_alpha": 1, "N_alpha": [4, 2, 3, 1], "M_beta": 4, "N_beta": []})
+def test_fuzzed_config_exits_cleanly(fuzz_dir, command, config, streams, mode):
+    # every command on a generated config file; --dof gives each user of a
+    # well-formed config the same stream count (symmetric: one per cell)
+    path = fuzz_dir / "config.json"
+    path.write_text(json.dumps(config))
+    users = [len(config.get(key)) if isinstance(config.get(key), list) else 1
+             for key in ("N_alpha", "N_beta")]
+    dof = ";".join(",".join([str(streams)] * n) for n in users)
+    argv = [command, "--config", str(path)]
+    if command == "symmetric":
+        argv.append(f"--dof={streams};{streams}")
+    elif command != "search":
+        argv.append(f"--dof={dof}")
+    if command in ("check", "search"):
+        argv += mode + ["--trials=2"]
+    if command.startswith("simulate") or command == "construct":
+        argv += ["--iters=3", "--snr=10"]
+    if command == "simulate-sumrate":
+        argv.append("--trials=1")
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
     assert code in (0, 1, 2)

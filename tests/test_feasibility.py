@@ -184,6 +184,12 @@ class TestAlignmentMatrix:
         mat = ia.build_alignment_matrix(ch, DofAllocation((1,), (1,)))
         assert mat.shape == (1, 2)
 
+    def test_rank_of_empty_and_zero_matrices(self):
+        assert ia.numeric_rank(np.zeros((20, 0), dtype=complex)) == 0
+        assert ia.numeric_rank(np.zeros((0, 3))) == 0
+        assert ia.numeric_rank(np.zeros((3, 4), dtype=complex)) == 0
+        assert ia.numeric_rank(np.eye(3)[:, :2]) == 2
+
     def test_no_free_variables_means_zero_columns(self):
         cfg = NetworkConfig(9, (2, 3), 9, (4,))
         ch = ia.sample_channels(cfg, RngStream(0, 0))
@@ -324,6 +330,11 @@ class TestSymmetric:
     def test_single_stream_each(self):
         report = ia.check_symmetric_sufficient(EX4, 1, 1)
         assert report.verdict
+
+    def test_counts_below_one_rejected(self):
+        for d_a, d_b in ((0, 2), (4, 0), (-1, -1)):
+            with pytest.raises(ConfigError, match="symmetric stream counts must be >= 1"):
+                ia.check_symmetric_sufficient(EX4, d_a, d_b)
 
     def test_non_integral_counts_rejected(self):
         # 4.7 must not run as 4, nor True as 1

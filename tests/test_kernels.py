@@ -151,6 +151,26 @@ def test_alignment_loop_matches_per_user_reference(seed):
     assert (max(iterations) == 1) == (seed == 3)
 
 
+def test_alignment_loop_adds_interleaved_groups_in_group_order():
+    # filter shapes interleave on both sides, (2, 3, 2, 3) x (2, 3, 2) with one
+    # stream each, so group order differs from user order; the covariances
+    # add the other side's users group by group, as the reference does.  The
+    # network has fewer variables than equations, so no member converges.
+    rng = np.random.default_rng(11)
+    n_a, n_b = [2, 3, 2, 3], [2, 3, 2]
+    d_a, d_b = [1, 1, 1, 1], [1, 1, 1]
+    assert [users for _, users in _kernels._shape_groups(n_a, d_a)] == [[0, 2], [1, 3]]
+    assert [users for _, users in _kernels._shape_groups(n_b, d_b)] == [[0, 2], [1]]
+    g_cross = [[rng.standard_normal((na, nb)) + 1j * rng.standard_normal((na, nb))
+                for nb in n_b] for na in n_a]
+    u0 = tuple(np.linalg.qr(rng.standard_normal((n, n))
+                            + 1j * rng.standard_normal((n, n)))[0][:, :1] for n in n_a)
+    w_alpha = [list(rng.uniform(0.1, 3.0, 4)) for _ in range(2)]
+    w_beta = [list(rng.uniform(0.1, 3.0, 3)) for _ in range(2)]
+    args = (g_cross, n_a, n_b, d_a, d_b, u0, 60, 1e-12)
+    assert _assert_members_match_reference(args, w_alpha, w_beta) == [60, 60]
+
+
 def test_alignment_loop_runs_no_member():
     u, v, totals, per_user, n_iters, converged = _kernels.alignment_loop(
         [[np.ones((2, 2))]], [2], [2], [1], [1], [], [], (np.eye(2)[:, :1],), 5, 1e-8)

@@ -43,6 +43,25 @@ class TestConfigTypes:
         assert cfg == NetworkConfig(4, (2, 3), 2, (2,))
         assert type(cfg.m_alpha) is int and type(cfg.n_alpha[0]) is int
 
+    @pytest.mark.parametrize("args, message", [
+        ((2, (2,), 0, (2,)), "M_beta must be >= 1, got 0"),
+        ((2, (), 2, (2,)), "N_alpha must hold at least one user"),
+        ((2, (2,), 2, []), "N_beta must hold at least one user"),
+        ((2, (2,), 2, (2, 0)), r"N_beta\[2\] must be >= 1, got 0"),
+        ((2, 2, 2, (2,)), "N_alpha must be a sequence of integers, got 2"),
+        ((2, (2,), 2, 2.0), "N_beta must be a sequence of integers, got 2.0")])
+    def test_network_field_errors(self, args, message):
+        with pytest.raises(ConfigError, match=message):
+            NetworkConfig(*args)
+
+    def test_uplink_allocation_errors(self):
+        cfg = NetworkConfig(4, (2,), 4, (2, 3))
+        with pytest.raises(ConfigError, match="d_beta has 1 entries but the "
+                                              "network has 2 uplink users"):
+            validate_config(cfg, DofAllocation((1,), (1,)))
+        with pytest.raises(ConfigError, match=r"d_beta\[2\] = 4 exceeds N_beta\[2\] = 3"):
+            validate_config(cfg, DofAllocation((1,), (1, 4)))
+
     def test_json_roundtrip(self):
         data = {"M_alpha": 10, "N_alpha": [4, 6, 6], "M_beta": 13, "N_beta": [3, 6]}
         cfg = NetworkConfig.from_dict(data)
