@@ -29,7 +29,7 @@ from .beamform import (FLOAT_FORMAT, IterationOptions, construct_beamformers,
 from .errors import IaRtddError
 from .evaluate import MAX_ABS_SNR_DB
 from .model import (DofAllocation, NetworkConfig, RngStream, _plain_number,
-                    sample_channels, validate_config)
+                    sample_channels, validate_config, validate_trials)
 
 MAX_SNR_POINTS = 10_000
 
@@ -311,9 +311,19 @@ def build_parser():
     return parser
 
 
+def _check_counts(args):
+    """Refuse a negative ``--seed`` and ``--trials`` below 1 in every mode,
+    including those that never read the value."""
+    if getattr(args, "seed", None) is not None:
+        RngStream(args.seed)
+    if getattr(args, "trials", None) is not None:
+        validate_trials(args.trials)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except IaRtddError as exc:
         print(f"error: {exc}", file=sys.stderr)

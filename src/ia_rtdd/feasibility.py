@@ -14,9 +14,12 @@ Three deciders are provided:
   holds this test is exact, which the report flags.
 
 `search_max_sum_dof` scans allocations in descending sum order and returns
-the best one passing the selected decider; it filters them as arrays, the
-converse filter by the converse check's walk, and runs the scalar decider
-only on the candidates.  User indices in witnesses are 1-based to match the
+the best one passing the selected decider.  It filters them as arrays and
+runs the scalar decider only on the candidates.  Both modes share an O(users)
+pre-check per allocation: the stream budgets 8a-8c and the counting bound
+over all users (alignment equations <= variables, which is 8e at the pair of
+full user sets).  The converse filter then walks the subset pairs of the
+survivors only.  User indices in witnesses are 1-based to match the
 (alpha, k) / (beta, l) labeling used everywhere else.
 """
 
@@ -185,7 +188,10 @@ def build_alignment_matrix(channels, dof):
             g = channels.g_cross[k][l]
             r0 = rows[k * num_beta + l]
             block = mat[r0:r0 + da * db]
-            block[:, cols[k]:cols[k + 1]] = np.kron(np.eye(da), g[da:, :db].T)
+            lower = g[da:, :db].T
+            block[:, cols[k]:cols[k + 1]] = (
+                np.eye(da)[:, None, :, None] * lower[:, None, :]
+            ).reshape(da * db, da * lower.shape[1])
             upper = g[:da, db:]
             block[:, cols[num_alpha + l]:cols[num_alpha + l + 1]] = (
                 np.eye(db)[:, :, None] * upper[:, None, None, :]
@@ -220,8 +226,11 @@ def check_sufficient(config, dof, trials=DEFAULT_RANK_TRIALS, rng=None):
     conditions = _budget_conditions(config, dof)
     if not all(c.passed for c in conditions):
         return _make_report(conditions)
-    rows, cols = _alignment_offsets(config, dof)
-    n_rows, n_cols = rows[-1], cols[-1]
+    # the alignment matrix's shape: sum_a * sum_b equations, sum d(N - d)
+    # variables
+    n_rows = dof.sum_alpha * dof.sum_beta
+    n_cols = sum(d * (n - d) for d, n in zip(dof.d_alpha + dof.d_beta,
+                                             config.n_alpha + config.n_beta))
     ranks = []
     if 0 < n_rows <= n_cols:
         for t in range(trials):
@@ -464,21 +473,27 @@ def _block_candidates(config, block, mode):
     """Which allocations of a block (rows as from `_allocation_blocks`) can
     pass the decider of ``mode``.
 
-    In necessary mode this is the verdict of 8a-8e, from the bounded walk of
-    `check_necessary` over the subset pairs of all rows together.  In
-    sufficient mode it drops the rows that `check_sufficient` fails without
-    a draw: a failed budget, or more alignment equations than variables.
+    Both modes first run one pre-check per row: the stream budgets 8a-8c
+    and the counting bound over all users, alignment equations <= variables
+    (8e at the pair of full user sets).  A row failing it fails both
+    deciders, so in sufficient mode these are the rows `check_sufficient`
+    fails without a draw.  In necessary mode the survivors then take the
+    bounded walk of `check_necessary` over their subset pairs, all rows
+    together, and the result is the verdict of 8a-8e.
     """
     num_a = config.num_alpha
     d_a, d_b = block[:, :num_a], block[:, num_a:]
     sum_a, sum_b = d_a.sum(axis=1), d_b.sum(axis=1)
-    keep = ((sum_a <= config.m_alpha) & (sum_b <= config.m_beta)
-            & (sum_a + sum_b <= max(config.m_alpha, config.m_beta)))
-    if mode == "necessary":
-        first = _kernels.first_violations(d_a, config.n_alpha, d_b, config.n_beta)[0]
-        return keep & (first < 0).all(axis=1)
     free = block * (np.array(config.n_alpha + config.n_beta) - block)
-    return keep & (sum_a * sum_b <= free.sum(axis=1))
+    keep = ((sum_a <= config.m_alpha) & (sum_b <= config.m_beta)
+            & (sum_a + sum_b <= max(config.m_alpha, config.m_beta))
+            & (sum_a * sum_b <= free.sum(axis=1)))
+    if mode == "necessary" and keep.any():
+        rows = np.flatnonzero(keep)
+        first = _kernels.first_violations(d_a[rows], config.n_alpha,
+                                          d_b[rows], config.n_beta)[0]
+        keep[rows] = (first < 0).all(axis=1)
+    return keep
 
 
 def search_max_sum_dof(config, mode="necessary", trials=DEFAULT_RANK_TRIALS,

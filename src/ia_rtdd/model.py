@@ -27,14 +27,23 @@ MAX_CELL_ANTENNAS = 1 << 31
 # single-cell SVD factor, the alignment matrix, a subset-sum table.  Larger
 # inputs are refused before the array is allocated.
 MAX_ARRAY_ENTRIES = 1 << 26
+# What one small matrix costs beyond its entries, in 16-byte entries: under
+# tracemalloc a draw of 512 + 512 one-antenna users holds 152 bytes per
+# 1 x 1 matrix (numpy 2.4, CPython 3.11), 136 of them beyond its one entry.
+_ARRAY_OVERHEAD_ENTRIES = 9
 
 
-def _guard_entries(entries, what):
+def _guard_entries(entries, what, arrays=0):
     """Raise `ConfigError` when ``what`` would hold more than
-    MAX_ARRAY_ENTRIES entries."""
-    if entries > MAX_ARRAY_ENTRIES:
-        raise ConfigError(f"{what} would hold {entries} entries, more than the "
-                          f"limit of 2^26 per array")
+    MAX_ARRAY_ENTRIES entries, its ``arrays`` separate matrices charged
+    _ARRAY_OVERHEAD_ENTRIES each on top (one large array's overhead is not
+    worth charging)."""
+    charged = entries + arrays * _ARRAY_OVERHEAD_ENTRIES
+    if charged > MAX_ARRAY_ENTRIES:
+        overhead = ("" if entries > MAX_ARRAY_ENTRIES else
+                    f" in {arrays} arrays, {charged} with the per-array overhead")
+        raise ConfigError(f"{what} would hold {entries} entries{overhead}, more "
+                          f"than the limit of 2^26 per array")
 
 
 def _as_int(value, name):
@@ -280,7 +289,8 @@ def sample_channels(config, rng):
     """
     sum_a, sum_b = sum(config.n_alpha), sum(config.n_beta)
     _guard_entries(sum_a * (config.m_alpha + sum_b)
-                   + config.m_beta * (sum_b + config.m_alpha), "the channel draw")
+                   + config.m_beta * (sum_b + config.m_alpha), "the channel draw",
+                   arrays=config.num_alpha * (1 + config.num_beta) + config.num_beta + 1)
     g = rng.generator()
     h_alpha = tuple(_freeze(complex_gaussian(g, n, config.m_alpha))
                     for n in config.n_alpha)

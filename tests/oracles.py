@@ -41,8 +41,8 @@ def iter_subset_pairs(num_alpha, num_beta):
                     yield i_alpha, i_beta
 
 
-def brute_first_violations(config, d_alpha, d_beta):
-    """Lexicographically first violating subset pair per condition (or None)."""
+def brute_violations(config, d_alpha, d_beta):
+    """Every subset pair violating each condition, antenna bound first."""
     viol_bound = []
     viol_count = []
     for i_alpha, i_beta in iter_subset_pairs(config.num_alpha, config.num_beta):
@@ -56,9 +56,13 @@ def brute_first_violations(config, d_alpha, d_beta):
             + sum(d_beta[l] * (config.n_beta[l] - d_beta[l]) for l in i_beta)
         if eqs > free:
             viol_count.append((i_alpha, i_beta))
-    first_bound = min(viol_bound) if viol_bound else None
-    first_count = min(viol_count) if viol_count else None
-    return first_bound, first_count
+    return viol_bound, viol_count
+
+
+def brute_first_violations(config, d_alpha, d_beta):
+    """Lexicographically first violating subset pair per condition (or None)."""
+    return tuple(min(pairs) if pairs else None
+                 for pairs in brute_violations(config, d_alpha, d_beta))
 
 
 def brute_necessary(config, d_alpha, d_beta):

@@ -172,6 +172,33 @@ def test_oversized_arrays_exit_2_before_allocating(tmp_path, capsys, config, arg
                  "--dof", "1;1"]) == 0
 
 
+def test_draw_of_many_small_matrices_exits_2_before_allocating(tmp_path, capsys):
+    # 4096 + 4096 users: 2^24 cross channels of one entry each pass the entry
+    # bound alone but would take ~2.5 GiB as separate arrays.  The lead user
+    # of each cell has two antennas, so that the rank test has variables to
+    # draw for.
+    users = 4096
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps({"M_alpha": 2, "N_alpha": [2] + [1] * (users - 1),
+                                "M_beta": 2, "N_beta": [2] + [1] * (users - 1)}))
+    dof = ",".join(["1"] + ["0"] * (users - 1))
+    for argv in (["construct", "--iters", "2"], ["check", "--mode", "sufficient"]):
+        tracemalloc.start()
+        try:
+            code = main([argv[0], "--config", str(path), "--dof", f"{dof};{dof}",
+                         *argv[1:]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert ("the channel draw would hold 16801801 entries in 16785409 arrays"
+                in capsys.readouterr().err)
+        assert peak < 2 ** 27
+    # 512 + 512 one-antenna users (~40 MiB of matrices) still draw
+    net = ia.NetworkConfig(1, (1,) * 512, 1, (1,) * 512)
+    assert len(ia.sample_channels(net, ia.RngStream(0, 0)).g_cross[511]) == 512
+
+
 def test_subset_sum_table_beyond_the_bound_exits_2(tmp_path, capsys, monkeypatch):
     # with the subset guard raised, a cell of 25 users would need 2^25 subset
     # sums of four columns
@@ -359,6 +386,15 @@ def test_input_errors_exit_2(small_config, tmp_path, capsys, monkeypatch):
     assert main(["check", "--config", small_config, "--dof", "1,1;1,1",
                  "--mode", "sufficient", "--trials", "0"]) == 2
     assert capsys.readouterr().err.count("trials must be >= 1") == 2
+    # --seed and --trials are checked in every mode, also where not read
+    for argv in (["check", "--dof", "1,1;1,1", "--mode", "necessary", "--seed", "-1"],
+                 ["check", "--dof", "1,1;1,1", "--mode", "necessary", "--trials", "0"],
+                 ["check", "--dof", "1,1;1,1", "--mode", "necessary", "--trials", "-3"],
+                 ["search", "--mode", "necessary", "--trials", "0"]):
+        assert main([argv[0], "--config", small_config, *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.count("seed must be >= 0, got -1") == 1
+    assert err.count("trials must be >= 1") == 3
     for cmd, snr in (("construct", "abc"), ("construct", "nan"),
                      ("construct", "inf"), ("construct", "-inf"),
                      ("construct", "1e300"), ("simulate-sumrate", "0:nan:10"),

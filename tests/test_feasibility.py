@@ -13,7 +13,7 @@ from ia_rtdd import (BudgetError, ConfigError, DofAllocation, MatchingError,
                      feasibility)
 
 from oracles import (brute_first_violations, brute_necessary,
-                     brute_symmetric_counting, iter_allocations,
+                     brute_symmetric_counting, brute_violations, iter_allocations,
                      per_block_alignment_matrix, reference_search)
 
 EX1 = NetworkConfig(10, (4, 6, 6), 13, (3, 6))
@@ -556,6 +556,53 @@ class TestSearch:
                 assert all(0 < len(b) <= rows for b in blocks)
                 got = [tuple(row) for b in blocks for row in b.tolist()]
                 assert got == want
+
+    @pytest.mark.parametrize("block_size", [_kernels.BLOCK, 1])
+    def test_necessary_filter_matches_brute_force(self, block_size, monkeypatch):
+        # seeded blocks of random rows and of rows capped at one stream count
+        # per cell (these reach the all-users counting bound), row by row
+        # against the definitions; each block's rows that fail the budgets or
+        # that bound are also filtered on their own, as a block in which no
+        # row survives
+        monkeypatch.setattr(_kernels, "BLOCK", block_size)
+        seen = {"only_full_pair": 0, "smaller_pair": 0, "no_survivor_block": 0}
+        for seed in range(40):
+            rng = np.random.default_rng(9000 + seed)
+            n_alpha, n_beta = (tuple(int(n) for n in rng.integers(1, 5, rng.integers(1, 4)))
+                               for _ in "ab")
+            total = sum(n_alpha) + sum(n_beta)
+            cfg = NetworkConfig(int(rng.integers(total // 2, total + 1)), n_alpha,
+                                int(rng.integers(total // 2, total + 1)), n_beta)
+            num_a = cfg.num_alpha
+            caps = np.array(n_alpha + n_beta)
+            capped = [np.minimum(caps, [a] * num_a + [b] * cfg.num_beta)
+                      for a in range(1, 5) for b in range(1, 5)]
+            block = np.concatenate((rng.integers(0, caps + 1, (20, len(caps))), capped))
+            full = (tuple(range(num_a)), tuple(range(cfg.num_beta)))
+            want, dropped = [], []
+            for row in block.tolist():
+                d_a, d_b = row[:num_a], row[num_a:]
+                verdict = brute_necessary(cfg, d_a, d_b)
+                bound, count = brute_violations(cfg, d_a, d_b)
+                budgets = verdict["8a"] and verdict["8b"] and verdict["8c"]
+                if budgets and not bound and count == [full]:
+                    seen["only_full_pair"] += 1
+                elif budgets and (bound or count) and full not in count:
+                    seen["smaller_pair"] += 1
+                if not budgets or full in count:
+                    dropped.append(row)
+                want.append(all(verdict.values()))
+            got = feasibility._block_candidates(cfg, block, "necessary")
+            assert got.tolist() == want
+            if dropped:
+                seen["no_survivor_block"] += 1
+                assert not feasibility._block_candidates(
+                    cfg, np.array(dropped), "necessary").any()
+        assert all(seen.values()), seen
+        # the walk itself takes a stack of zero rows
+        first = _kernels.first_violations(np.zeros((0, 2), dtype=np.int64), (3, 3),
+                                          np.zeros((0, 1), dtype=np.int64), (2,))[0]
+        assert first.shape == (0, 2)
 
     @pytest.mark.parametrize("mode", ["necessary", "sufficient"])
     @pytest.mark.parametrize("name", ["EX1", "EX2", "dual_EX1", "EX4", "SIM"])
