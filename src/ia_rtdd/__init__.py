@@ -11,7 +11,7 @@ from .beamform import (BeamformerSet, IterationOptions, LeakageTrace,
                        iterate_alignment, iterate_alignment_batch, normalize,
                        residual_report, zero_force_step2)
 from .errors import (BudgetError, ConfigError, IaRtddError, MatchingError,
-                     NumericalError, SingularSystemError, SubsetLimitError)
+                     NumericalError, SingularSystemError)
 from .evaluate import (RateBreakdown, SweepResult, baseline_point_to_point,
                        baseline_single_cell, monte_carlo_sweep,
                        power_profile_for_snr, snr_to_power, sum_rate)

@@ -1,20 +1,21 @@
-"""Hot numeric kernels, in numpy.
+"""Hot kernels.
 
-Two inner loops dominate runtime: the alternating leakage-minimization
-iteration and the subset-pair scan behind the combinatorial
-feasibility conditions.  The alignment loop takes and returns the filters
-as per-user tuples, the form `beamform` uses everywhere else.
+Two kernels carry the heavy work: the alternating leakage-minimization
+iteration, in numpy, and the stream-total tables that decide the
+converse's subset conditions, in plain Python ints.  The alignment loop
+takes and returns the filters as per-user tuples, the form `beamform` uses
+everywhere else.
 """
 
-import math
+from itertools import accumulate
 
 import numpy as np
 
 from .model import _guard_entries
 
 BACKEND = "numpy"
-# Elements of the widest array in one block of the subset scan or of the DoF
-# search, unless one row (an alpha subset, an allocation) alone needs more.
+# Entries of the widest array in one block of allocations of the DoF search,
+# unless one allocation alone needs more.
 BLOCK = 1 << 16
 _PHASE_TOL = 1e-12
 
@@ -43,74 +44,112 @@ def fix_column_phases(mat):
 
 
 # ---------------------------------------------------------------------------
-# subset-pair scan
+# converse: stream-total tables
 # ---------------------------------------------------------------------------
 
-def _lex_sums(x):
-    """Sums of ``x`` over every subset of its first axis (later axes stack), in
-    the lexicographic order of the subsets' sorted indices: (), (0,), (0, 1), (1,)."""
-    _guard_entries((1 << len(x)) * math.prod(np.shape(x)[1:]), "a subset-sum table")
-    out = np.zeros((1,) + np.shape(x)[1:], dtype=np.int64)
-    for j in reversed(range(len(x))):
-        # the subsets of j..: (), j joined to each subset of j+1.., then the
-        # nonempty subsets of j+1..
-        out = np.concatenate((out[:1], x[j] + out, out[1:]))
-    return out
+# 8d and 8e as violation tests on the totals (D, N, V) = (sum d, sum N,
+# sum d(N - d)) of a downlink subset ``a`` and an uplink subset ``b``.
+_CONDITIONS = (lambda a, b: a[0] + b[0] > max(a[1], b[1]),
+               lambda a, b: a[0] * b[0] > a[2] + b[2])
 
 
-def _side_sums(d, n):
-    """`_lex_sums` of d and d(N - d), a column per row of ``d``, then of N and
-    of the user bits (each subset's bitmask), from one call."""
-    d, n = np.asarray(d, dtype=np.int64), np.asarray(n, dtype=np.int64)
-    sums = _lex_sums(np.concatenate((d, d * (n - d), [n, 1 << np.arange(len(n))])).T)
-    return sums[:, :len(d)], sums[:, len(d):-2], sums[:, -2], sums[:, -1]
+def _suffix_tables(d, n):
+    """``tables[i]`` maps the stream total D of each subset of users i.. to
+    the least antenna total and the least d(N - d) total of such a subset,
+    ``tables[len(d)]`` being the empty subset's {0: (0, 0)} (Bellman's 0/1
+    knapsack, from the last user backward)."""
+    tables = [{0: (0, 0)}]
+    for d_i, n_i in zip(reversed(d), reversed(n)):
+        v_i = d_i * (n_i - d_i)
+        table = dict(tables[-1])
+        for s, (m, v) in tables[-1].items():
+            old = table.get(s + d_i, (m + n_i, v + v_i))
+            table[s + d_i] = (min(old[0], m + n_i), min(old[1], v + v_i))
+        tables.append(table)
+    return tables[::-1]
 
 
-def first_violations(d_a, n_a, d_b, n_b):
+def _converse(d_a, n_a, d_b, n_b):
+    """Both sides' suffix tables and, per condition, a test of whether
+    downlink totals (X, N, V) have an uplink partner completing a violation:
+    for 8d iff N < X + D for the largest uplink total D whose antenna slack
+    N_b - D is below X, for 8e iff V < max(X D - V_b) over the uplink table
+    (the upper envelope of its lines, swept in X).
+    """
+    # A table of i users holds at most min(2^i, sum d + 1) entries, each with
+    # its int key and tuple of ints ~117 bytes (CPython 3.11): charged as 10
+    # entries of 16 bytes, as is the answer kept per downlink total.
+    caps = [[min(1 << i, s + 1) for i, s in enumerate(accumulate(reversed(d), initial=0))]
+            for d in (d_a, d_b)]
+    _guard_entries(10 * (sum(caps[0]) + caps[0][-1] + sum(caps[1])),
+                   "the stream-total tables")
+    ta, tb = _suffix_tables(d_a, n_a), _suffix_tables(d_b, n_b)
+    slack = sorted((m - s, s) for s, (m, _) in tb[0].items())
+    hull = []
+    for s, (_, v) in sorted(tb[0].items()):
+        # the line s X - v: drop the last one while this one overtakes the
+        # one before it no later than the last one did
+        while len(hull) > 1 and ((hull[-2][1] - v) * (hull[-1][0] - hull[-2][0])
+                                 >= (hull[-2][1] - hull[-1][1]) * (s - hull[-2][0])):
+            hull.pop()
+        hull.append((s, v))
+    answers, widest, i, j = {}, 0, 0, 0
+    for x in sorted(ta[0]):
+        while i < len(slack) and slack[i][0] < x:
+            widest = max(widest, slack[i][1])
+            i += 1
+        while j + 1 < len(hull) and ((hull[j + 1][0] - hull[j][0]) * x
+                                     >= hull[j + 1][1] - hull[j][1]):
+            j += 1
+        answers[x] = (widest, hull[j][0] * x - hull[j][1])
+    return ta, tb, (lambda a: a[1] < a[0] + answers[a[0]][0],
+                    lambda a: a[2] < answers[a[0]][1])
+
+
+def _lex_first(d, n, tables, hit):
+    """The lexicographically first subset of one side's users whose totals
+    (D, N, V) ``hit``, as ``(bitmask, totals)``, or None.  Users join in
+    index order, each while the subset so far misses and the next users'
+    table can still complete a hit."""
+    def completes(i, t):
+        return any(hit((t[0] + s, t[1] + m, t[2] + v)) for s, (m, v) in tables[i].items())
+
+    mask, tot = 0, (0, 0, 0)
+    if not completes(0, tot):
+        return None
+    for i, (d_i, n_i) in enumerate(zip(d, n)):
+        if hit(tot):
+            break
+        grown = (tot[0] + d_i, tot[1] + n_i, tot[2] + d_i * (n_i - d_i))
+        if completes(i + 1, grown):
+            mask, tot = mask | 1 << i, grown
+    return mask, tot
+
+
+def converse_holds(d_a, n_a, d_b, n_b):
+    """Whether no subset pair of one allocation violates 8d or 8e."""
+    ta, _, hits = _converse(d_a, n_a, d_b, n_b)
+    return not any(hit((s, m, v)) for hit in hits for s, (m, v) in ta[0].items())
+
+
+def subset_scan(d_a, n_a, d_b, n_b):
     """The lexicographically first subset pair violating each condition
 
     * antenna bound:   sum(d, Ia) + sum(d, Ib) <= max(sum(N, Ia), sum(N, Ib))
     * counting bound:  sum(d, Ia) * sum(d, Ib) <= sum(d(N-d), Ia) + sum(d(N-d), Ib)
 
-    over subsets ``Ia`` of the downlink and ``Ib`` of the uplink users, for
-    the allocations in the rows of ``d_a`` (R x K) and ``d_b`` (R x L).  The
-    alpha subsets are walked in `_lex_sums` order, ``BLOCK`` pairs of the
-    open rows at a time (one alpha subset's if more), until every row has
-    violated both.  Returns ``(first, masks_a, masks_b)``: ``first[r, c]``
-    is the position ``i * 2^L + j`` of row r's first violation of condition
-    c (-1 for none), ``masks_a[i]`` and ``masks_b[j]`` the subsets' bitmasks.
+    over subsets ``Ia`` of the downlink and ``Ib`` of the uplink users of one
+    allocation (sequences of ints), each as ``None`` or an ``(alpha_mask,
+    beta_mask)`` tuple of ints: the first downlink subset with a violating
+    partner, then its first partner.
     """
-    sd_a, sv_a, sn_a, masks_a = _side_sums(d_a, n_a)
-    sd_b, sv_b, sn_b, masks_b = _side_sums(d_b, n_b)
-    width = len(masks_b)
-    rows = np.arange(sd_a.shape[1])
-    first = np.full((len(rows), 2), -1)
-    start = 0
-    while len(rows) and start < len(masks_a):
-        stop = start + max(1, BLOCK // (len(rows) * width))
-        # (alpha subset, beta subset, row) blocks, rows last for long inner
-        # loops; the counts in place, so the pairs take one int64 array
-        da, va = (s[start:stop].take(rows, 1)[:, None] for s in (sd_a, sv_a))
-        db, vb = sd_b.take(rows, 1), sv_b.take(rows, 1)
-        bound = (db > sn_a[start:stop, None, None] - da) & (da > sn_b[:, None] - db)
-        count = da * db
-        count -= va
-        for c, viol in enumerate((bound, count > vb)):
-            viol = viol.reshape(-1, len(rows))
-            hit = (first[rows, c] < 0) & viol.any(0)
-            first[rows[hit], c] = start * width + viol.argmax(0)[hit]
-        rows = rows[(first[rows] < 0).any(1)]
-        start = stop
-    return first, masks_a, masks_b
-
-
-def subset_scan(d_a, n_a, d_b, n_b):
-    """`first_violations` of one allocation, each pair as ``None`` or an
-    ``(alpha_mask, beta_mask)`` tuple of Python ints."""
-    first, masks_a, masks_b = first_violations([d_a], n_a, [d_b], n_b)
-    return tuple(None if p < 0 else (int(masks_a[p // len(masks_b)]),
-                                     int(masks_b[p % len(masks_b)]))
-                 for p in first[0].tolist())
+    ta, tb, hits = _converse(d_a, n_a, d_b, n_b)
+    out = []
+    for hit, cond in zip(hits, _CONDITIONS):
+        first = _lex_first(d_a, n_a, ta, hit)
+        out.append(first and (first[0], _lex_first(
+            d_b, n_b, tb, lambda b, a=first[1]: cond(a, b))[0]))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,16 @@ Subcommands:
 * ``simulate-sumrate``  Monte-Carlo sum-rate sweep over an SNR grid (CSV)
 
 Exit status: 0 on success, 1 on an infeasible verdict under ``--strict``,
-2 on any input error.  ``IA_RTDD_MAX_SUBSET_USERS`` overrides the subset
-enumeration guard.  All floating-point output is printed with 9 significant
-digits so emitted files diff cleanly across runs; JSON output writes a
-non-finite value as null.
+2 on any input error, a network whose arrays or converse tables would pass
+the entry bound `model.MAX_ARRAY_ENTRIES` included.  All floating-point
+output is printed with 9 significant digits so emitted files diff cleanly
+across runs; JSON output writes a non-finite value as null.
 """
 
 import argparse
 import io
 import json
 import math
-import os
 import sys
 
 from . import evaluate, feasibility
@@ -73,17 +72,6 @@ def _load_config(path):
     return NetworkConfig.from_dict(data)
 
 
-def _subset_limit():
-    value = os.environ.get("IA_RTDD_MAX_SUBSET_USERS", "").strip()
-    if not value:
-        return None
-    try:
-        return _plain_number(value)
-    except ValueError:
-        raise IaRtddError(
-            f"IA_RTDD_MAX_SUBSET_USERS must be an integer, got {value!r}")
-
-
 def _int_arg(text):
     try:
         return _plain_number(text)
@@ -134,10 +122,9 @@ def _parse_dof(args, config):
 def _cmd_check(args):
     config = _load_config(args.config)
     dof = _parse_dof(args, config)
-    limit = _subset_limit()
     reports = {}
     if args.mode != "sufficient":
-        reports["necessary"] = feasibility.check_necessary(config, dof, limit)
+        reports["necessary"] = feasibility.check_necessary(config, dof)
     if args.mode != "necessary":
         reports["sufficient"] = feasibility.check_sufficient(
             config, dof, args.trials, RngStream(args.seed, 0))
@@ -152,14 +139,12 @@ def _cmd_check(args):
 
 def _cmd_search(args):
     config = _load_config(args.config)
-    limit = _subset_limit()
     rng = RngStream(args.seed, 0)
     if args.mode:
         data = feasibility.search_max_sum_dof(config, args.mode, args.trials,
-                                              rng, subset_limit=limit).to_dict()
+                                              rng).to_dict()
     else:
-        both = feasibility.search_optimal(config, args.trials, rng,
-                                          subset_limit=limit)
+        both = feasibility.search_optimal(config, args.trials, rng)
         suff = both["sufficient"].to_dict()
         data = {
             "d_sum": suff["d_sum"],
@@ -182,7 +167,7 @@ def _cmd_symmetric(args):
         raise IaRtddError(
             'symmetric mode takes --dof "D_ALPHA;D_BETA" with one value per cell')
     report = feasibility.check_symmetric_sufficient(
-        config, dof.d_alpha[0], dof.d_beta[0], _subset_limit())
+        config, dof.d_alpha[0], dof.d_beta[0])
     _emit_json(report.to_dict(), args.out)
     return 1 if args.strict and not report.verdict else 0
 

@@ -9,10 +9,6 @@ class ConfigError(IaRtddError, ValueError):
     """Invalid network configuration, stream allocation, or input format."""
 
 
-class SubsetLimitError(IaRtddError):
-    """Subset enumeration would exceed the configured user-count guard."""
-
-
 class BudgetError(IaRtddError):
     """Allocation search space exceeds the configured budget."""
 

@@ -4,8 +4,10 @@ Three deciders are provided:
 
 * `check_necessary` - the converse side: per-cell and cross-BS stream
   budgets plus two families of per-subset conditions (antenna bound and
-  equation/variable counting), walked over the subset pairs in lexicographic
-  order up to the first violation of each.  Condition ids "8a".."8e".
+  equation/variable counting), decided over all subset pairs from one table
+  per side of the least antenna and d(N - d) totals per stream total, with
+  the lexicographically first violating pair of each as its witness.
+  Condition ids "8a".."8e".
 * `check_sufficient` - the achievability side: the stream budgets "8a".."8c"
   plus full row rank of the alignment coefficient matrix on sampled
   channels, majority-voted over independent draws.  Condition id "rank".
@@ -18,9 +20,9 @@ the best one passing the selected decider.  It filters them as arrays and
 runs the scalar decider only on the candidates.  Both modes share an O(users)
 pre-check per allocation: the stream budgets 8a-8c and the counting bound
 over all users (alignment equations <= variables, which is 8e at the pair of
-full user sets).  The converse filter then walks the subset pairs of the
-survivors only.  User indices in witnesses are 1-based to match the
-(alpha, k) / (beta, l) labeling used everywhere else.
+full user sets).  The converse filter then decides the survivors only, from
+the same tables as `check_necessary`.  User indices in witnesses are 1-based
+to match the (alpha, k) / (beta, l) labeling used everywhere else.
 """
 
 from dataclasses import dataclass, replace
@@ -29,12 +31,11 @@ from itertools import accumulate, chain
 import numpy as np
 
 from . import _kernels
-from .errors import BudgetError, ConfigError, MatchingError, SubsetLimitError
+from .errors import BudgetError, ConfigError, MatchingError
 from .model import (ChannelSet, DofAllocation, NetworkConfig, RngStream,
                     _as_int, _guard_entries, sample_channels, validate_config,
                     validate_trials)
 
-DEFAULT_SUBSET_LIMIT = 20
 DEFAULT_SEARCH_BUDGET = 2_000_000
 DEFAULT_RANK_TRIALS = 5
 RANK_RTOL = 1e-10
@@ -87,16 +88,6 @@ def _subset_witness(pair):
     return {"I_alpha": alpha, "I_beta": beta}
 
 
-def _guard_subset_size(config, subset_limit):
-    limit = (DEFAULT_SUBSET_LIMIT if subset_limit is None
-             else _as_int(subset_limit, "subset_limit"))
-    users = config.num_alpha + config.num_beta
-    if users > limit:
-        raise SubsetLimitError(
-            f"subset enumeration over {users} users exceeds the limit of {limit}; "
-            f"raise the limit explicitly to override")
-
-
 def _budget_conditions(config, dof):
     sum_a, sum_b = dof.sum_alpha, dof.sum_beta
     return [
@@ -106,14 +97,13 @@ def _budget_conditions(config, dof):
     ]
 
 
-def check_necessary(config, dof, subset_limit=None):
+def check_necessary(config, dof):
     """Evaluate every converse condition; any feasible allocation passes all.
 
-    The subset pairs are walked in lexicographic order, in bounded blocks,
-    until both subset families have a violation; each records its first.
+    Each subset condition records its lexicographically first violating
+    pair, built from the per-side stream-total tables of `_kernels`.
     """
     validate_config(config, dof)
-    _guard_subset_size(config, subset_limit)
     conditions = _budget_conditions(config, dof)
     bound, count = _kernels.subset_scan(dof.d_alpha, config.n_alpha,
                                         dof.d_beta, config.n_beta)
@@ -273,7 +263,7 @@ def _divisibility_failure(config, d_alpha, d_beta):
     return None
 
 
-def check_symmetric_sufficient(config, d_alpha, d_beta, subset_limit=None):
+def check_symmetric_sufficient(config, d_alpha, d_beta):
     """Compact achievability test for one stream count per cell.
 
     Ids "13a".."13c" are the stream budgets, "13d" the divisibility of the
@@ -286,7 +276,7 @@ def check_symmetric_sufficient(config, d_alpha, d_beta, subset_limit=None):
     d_alpha, d_beta, dof = _expand_symmetric(config, d_alpha, d_beta)
     # For a symmetric allocation 13a-13c and 13e are the converse's 8a-8c
     # and 8e, witnesses included.
-    necessary = check_necessary(config, dof, subset_limit)
+    necessary = check_necessary(config, dof)
     conditions = [replace(necessary.condition("8" + c), condition_id="13" + c)
                   for c in "abc"]
     div_witness = _divisibility_failure(config, d_alpha, d_beta)
@@ -477,9 +467,9 @@ def _block_candidates(config, block, mode):
     and the counting bound over all users, alignment equations <= variables
     (8e at the pair of full user sets).  A row failing it fails both
     deciders, so in sufficient mode these are the rows `check_sufficient`
-    fails without a draw.  In necessary mode the survivors then take the
-    bounded walk of `check_necessary` over their subset pairs, all rows
-    together, and the result is the verdict of 8a-8e.
+    fails without a draw.  In necessary mode the survivors are then decided
+    one by one from the stream-total tables of `check_necessary`, and the
+    result is the verdict of 8a-8e.
     """
     num_a = config.num_alpha
     d_a, d_b = block[:, :num_a], block[:, num_a:]
@@ -490,15 +480,13 @@ def _block_candidates(config, block, mode):
             & (sum_a * sum_b <= free.sum(axis=1)))
     if mode == "necessary" and keep.any():
         rows = np.flatnonzero(keep)
-        first = _kernels.first_violations(d_a[rows], config.n_alpha,
-                                          d_b[rows], config.n_beta)[0]
-        keep[rows] = (first < 0).all(axis=1)
+        keep[rows] = [_kernels.converse_holds(a, config.n_alpha, b, config.n_beta)
+                      for a, b in zip(d_a[rows].tolist(), d_b[rows].tolist())]
     return keep
 
 
 def search_max_sum_dof(config, mode="necessary", trials=DEFAULT_RANK_TRIALS,
-                       rng=None, budget=DEFAULT_SEARCH_BUDGET,
-                       subset_limit=None):
+                       rng=None, budget=DEFAULT_SEARCH_BUDGET):
     """Maximum sum DoF over allocations passing the selected decider.
 
     Allocations are tried in descending sum, lexicographic ascending within a
@@ -519,16 +507,9 @@ def search_max_sum_dof(config, mode="necessary", trials=DEFAULT_RANK_TRIALS,
         if space > budget:
             raise BudgetError(
                 f"allocation space exceeds the search budget of {budget}")
-    # width: an allocation's elements in a block's widest array, its subset
-    # pairs in necessary mode and its entries in sufficient mode
-    users = config.num_alpha + config.num_beta
-    if mode == "necessary":
-        _guard_subset_size(config, subset_limit)
-        width = 1 << users
-    else:
+    if mode == "sufficient":
         trials = validate_trials(trials)
-        width = users
-    rows = max(1, _kernels.BLOCK // width)
+    rows = max(1, _kernels.BLOCK // (config.num_alpha + config.num_beta))
     if rng is None:
         rng = RngStream(0, 0)
     cap = min(max(config.m_alpha, config.m_beta),
@@ -542,7 +523,7 @@ def search_max_sum_dof(config, mode="necessary", trials=DEFAULT_RANK_TRIALS,
                 dof = DofAllocation(tuple(block[i, :num_a].tolist()),
                                     tuple(block[i, num_a:].tolist()))
                 if mode == "necessary":
-                    report = check_necessary(config, dof, subset_limit)
+                    report = check_necessary(config, dof)
                 else:
                     report = check_sufficient(config, dof, trials, rng)
                 if report.verdict:
@@ -552,16 +533,14 @@ def search_max_sum_dof(config, mode="necessary", trials=DEFAULT_RANK_TRIALS,
 
 
 def search_optimal(config, trials=DEFAULT_RANK_TRIALS, rng=None,
-                   budget=DEFAULT_SEARCH_BUDGET, subset_limit=None):
+                   budget=DEFAULT_SEARCH_BUDGET):
     """Run both search modes and flag optimality when their maxima agree.
 
     Returns a dict with the two `SearchResult`s, the certified flag, and the
     gap between the converse bound and the certified value.
     """
-    necessary = search_max_sum_dof(config, "necessary", trials, rng, budget,
-                                   subset_limit)
-    sufficient = search_max_sum_dof(config, "sufficient", trials, rng, budget,
-                                    subset_limit)
+    necessary = search_max_sum_dof(config, "necessary", trials, rng, budget)
+    sufficient = search_max_sum_dof(config, "sufficient", trials, rng, budget)
     return {
         "necessary": necessary,
         "sufficient": sufficient,

@@ -446,7 +446,7 @@ def iter_allocations(config, total):
     yield from rec(0, total, 0, 0)
 
 
-def reference_search(config, mode, trials=5, rng=None, subset_limit=None):
+def reference_search(config, mode, trials=5, rng=None):
     """One scalar decider call per allocation, the reference for
     `feasibility.search_max_sum_dof` (without its guards), so the two must
     return equal results."""
@@ -460,7 +460,7 @@ def reference_search(config, mode, trials=5, rng=None, subset_limit=None):
         for dof in iter_allocations(config, total):
             examined += 1
             if mode == "necessary":
-                report = check_necessary(config, dof, subset_limit)
+                report = check_necessary(config, dof)
             else:
                 report = check_sufficient(config, dof, trials, rng)
             if report.verdict:

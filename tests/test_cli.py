@@ -199,25 +199,36 @@ def test_draw_of_many_small_matrices_exits_2_before_allocating(tmp_path, capsys)
     assert len(ia.sample_channels(net, ia.RngStream(0, 0)).g_cross[511]) == 512
 
 
-def test_subset_sum_table_beyond_the_bound_exits_2(tmp_path, capsys, monkeypatch):
-    # with the subset guard raised, a cell of 25 users would need 2^25 subset
-    # sums of four columns
+def test_subset_sum_table_beyond_the_bound_exits_2(tmp_path, capsys):
+    # a cell of 25 users has 2^25 subsets but 26 stream totals at most, so
+    # its converse answers in small tables
     path = tmp_path / "wide.json"
-    path.write_text(json.dumps({"M_alpha": 1, "N_alpha": [1] * 25,
+    path.write_text(json.dumps({"M_alpha": 25, "N_alpha": [1] * 25,
                                 "M_beta": 1, "N_beta": [1]}))
-    monkeypatch.setenv("IA_RTDD_MAX_SUBSET_USERS", "26")
-    dof = ",".join(["0"] * 25) + ";0"
-    tracemalloc.start()
-    try:
-        code = main(["check", "--config", str(path), "--dof", dof,
-                     "--mode", "necessary"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 2
-    assert ("a subset-sum table would hold 134217728 entries"
-            in capsys.readouterr().err)
-    assert peak < 2 ** 20
+    dof = ",".join(["1", "0"] * 12 + ["1"]) + ";0"
+    checks = [(path, dof, 0)]
+    # streams of 2^i on 24+24 users reach 2^24 distinct totals per cell: the
+    # tables would pass the entry bound, and are refused before they are built
+    doubling = [1 << i for i in range(24)]
+    path = tmp_path / "doubling.json"
+    path.write_text(json.dumps({"M_alpha": (1 << 31) - 1, "N_alpha": doubling,
+                                "M_beta": (1 << 31) - 1, "N_beta": doubling}))
+    dof = ",".join(map(str, doubling)) + ";" + ",".join(map(str, doubling))
+    checks.append((path, dof, 2))
+    for path, dof, want in checks:
+        tracemalloc.start()
+        try:
+            code = main(["check", "--config", str(path), "--dof", dof,
+                         "--mode", "necessary"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == want
+        assert peak < 2 ** 20
+    out, err = capsys.readouterr()
+    assert json.loads(out)["verdict"] is True
+    assert ("the stream-total tables would hold 838860780 entries, more than "
+            "the limit of 2^26" in err)
 
 
 def test_construct_reports_residuals(small_config, capsys):
@@ -424,10 +435,6 @@ def test_input_errors_exit_2(small_config, tmp_path, capsys, monkeypatch):
                   flag, "1_0"])
         assert exc.value.code == 2
     assert capsys.readouterr().err.count("invalid int value: '1_0'") == 2
-    monkeypatch.setenv("IA_RTDD_MAX_SUBSET_USERS", "2_0")
-    assert main(["check", "--config", small_config, "--dof", "1,1;1,1"]) == 2
-    assert "IA_RTDD_MAX_SUBSET_USERS must be an integer" in capsys.readouterr().err
-    monkeypatch.delenv("IA_RTDD_MAX_SUBSET_USERS")
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"M_alpha": 4, "N_alpha": [3, 3], "M_beta": 6, '
                        b'"N_beta": [2, 2], "note": "\xe9"}')
@@ -451,21 +458,6 @@ def test_unknown_flag_exits_2(small_config):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--config", small_config, "--bogus"])
     assert exc.value.code == 2
-
-
-def test_subset_guard_env_override(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "wide.json"
-    path.write_text(json.dumps({"M_alpha": 1, "N_alpha": [1] * 11,
-                                "M_beta": 1, "N_beta": [1] * 10}))
-    dof = ",".join(["0"] * 11) + ";" + ",".join(["0"] * 10)
-    assert main(["check", "--config", str(path), "--dof", dof,
-                 "--mode", "necessary"]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("IA_RTDD_MAX_SUBSET_USERS", "21")
-    assert main(["check", "--config", str(path), "--dof", dof,
-                 "--mode", "necessary"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["verdict"] is True
 
 
 def _text(junk, low, high):

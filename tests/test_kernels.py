@@ -8,39 +8,37 @@ import ia_rtdd as ia
 from ia_rtdd import _kernels
 from ia_rtdd.model import NetworkConfig
 
-from oracles import brute_first_violations, per_user_alignment_loop
+from oracles import (brute_first_violations, brute_necessary,
+                     per_user_alignment_loop)
 
 
 def _indices(mask):
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def test_mask_lex_order_matches_tuple_order():
-    # the subset sums of the user bits list the masks of 0-7 users in the
-    # order of their sorted index tuples
-    for size in range(8):
-        masks = _kernels._lex_sums(1 << np.arange(size))
-        assert masks.tolist() == sorted(range(1 << size), key=_indices)
+def _random_allocation(rng, n):
+    # all counts in 0..N, or small ones, so that passing allocations occur
+    top = np.array(n) if rng.integers(2) else np.minimum(n, 2)
+    return tuple(int(v) for v in rng.integers(0, top + 1))
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_stacked_violations_match_one_allocation_at_a_time(seed, monkeypatch):
-    # six allocations walked together against each walked alone, with the
-    # default blocks, blocks of one alpha subset and blocks of 7 pairs, so
-    # that the rows of one walk finish in different blocks
+def test_stacked_violations_match_one_allocation_at_a_time(seed):
+    # six allocations of a network of up to 6+6 users filtered as one block,
+    # against each decided alone and against the definitions
     rng = np.random.default_rng(200 + seed)
-    k, l = (int(v) for v in rng.integers(1, 5, size=2))
-    n_a, n_b = rng.integers(1, 7, size=k), rng.integers(1, 7, size=l)
-    d_a = rng.integers(0, n_a + 1, size=(6, k))
-    d_b = rng.integers(0, n_b + 1, size=(6, l))
-    for block in (_kernels.BLOCK, 1, 7):
-        monkeypatch.setattr(_kernels, "BLOCK", block)
-        first, masks_a, masks_b = _kernels.first_violations(d_a, n_a, d_b, n_b)
-        assert first.shape == (6, 2)
-        assert masks_a.shape == (1 << k,) and masks_b.shape == (1 << l,)
-        for i in range(6):
-            one = _kernels.first_violations(d_a[i:i + 1], n_a, d_b[i:i + 1], n_b)
-            assert first[i].tolist() == one[0][0].tolist()
+    k, l = (int(v) for v in rng.integers(1, 7, size=2))
+    n_a = tuple(int(v) for v in rng.integers(1, 7, size=k))
+    n_b = tuple(int(v) for v in rng.integers(1, 7, size=l))
+    cfg = NetworkConfig(99, n_a, 99, n_b)
+    block = np.array([_random_allocation(rng, n_a) + _random_allocation(rng, n_b)
+                      for _ in range(6)])
+    got = ia.feasibility._block_candidates(cfg, block, "necessary").tolist()
+    for row, keep in zip(block.tolist(), got):
+        d_a, d_b = row[:k], row[k:]
+        alone = _kernels.converse_holds(d_a, n_a, d_b, n_b)
+        assert alone == (_kernels.subset_scan(d_a, n_a, d_b, n_b) == (None, None))
+        assert keep == alone == all(brute_necessary(cfg, d_a, d_b).values())
 
 
 def _assert_scan_matches_oracle(rng, max_users, max_antennas):
@@ -48,8 +46,7 @@ def _assert_scan_matches_oracle(rng, max_users, max_antennas):
     l = int(rng.integers(1, max_users + 1))
     n_a = tuple(int(v) for v in rng.integers(1, max_antennas + 1, size=k))
     n_b = tuple(int(v) for v in rng.integers(1, max_antennas + 1, size=l))
-    d_a = tuple(int(rng.integers(0, n + 1)) for n in n_a)
-    d_b = tuple(int(rng.integers(0, n + 1)) for n in n_b)
+    d_a, d_b = _random_allocation(rng, n_a), _random_allocation(rng, n_b)
     cfg = NetworkConfig(99, n_a, 99, n_b)
     bound, count = _kernels.subset_scan(d_a, n_a, d_b, n_b)
     ob, oc = brute_first_violations(cfg, d_a, d_b)
@@ -60,18 +57,17 @@ def _assert_scan_matches_oracle(rng, max_users, max_antennas):
 
 
 @pytest.mark.parametrize("seed", range(25))
-def test_scan_implementations_agree(seed, monkeypatch):
-    # the vectorised scan against the brute-force oracle at 1-4 users and
-    # 1-8 antennas per cell, with the default blocks, blocks of one alpha
-    # subset and blocks of 7 pairs, so first violations land on block edges
-    for block in (_kernels.BLOCK, 1, 7):
-        monkeypatch.setattr(_kernels, "BLOCK", block)
-        _assert_scan_matches_oracle(np.random.default_rng(seed), 4, 8)
+def test_scan_implementations_agree(seed):
+    # the table scan against the brute-force oracle at 1-6 users and 1-8
+    # antennas per cell, three allocations each
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        _assert_scan_matches_oracle(rng, 6, 8)
 
 
 def test_scan_memory_is_bounded_by_the_block():
-    # a passing allocation walks all 2^20 pairs of a 10+10-user network in
-    # blocks, so no 2^K x 2^L array is ever built (8 MiB per int64 array)
+    # a passing allocation of a 10+10-user network has 2^20 subset pairs;
+    # its stream-total tables hold a few hundred entries
     n_a, n_b = (2, 3, 4, 5, 6, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 6, 5, 4, 3, 2)
     d_a, d_b = (1,) + (0,) * 9, (1,) + (0,) * 9
     tracemalloc.start()
@@ -85,12 +81,11 @@ def test_scan_memory_is_bounded_by_the_block():
 
 def test_search_memory_is_bounded_by_the_block():
     # each allocation of an 11+11-user network has 2^22 subset pairs; the
-    # search filter walks them in blocks too (32 MiB per int64 array at once)
+    # search decides them from tables of at most 12 entries per user
     cfg = NetworkConfig(1, (1,) * 11, 1, (1,) * 11)
     tracemalloc.start()
     try:
-        result = ia.search_max_sum_dof(cfg, "necessary", subset_limit=22,
-                                       budget=1 << 23)
+        result = ia.search_max_sum_dof(cfg, "necessary", budget=1 << 23)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
