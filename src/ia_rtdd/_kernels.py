@@ -1,10 +1,11 @@
 """Hot kernels.
 
 Two kernels carry the heavy work: the alternating leakage-minimization
-iteration, in numpy, and the stream-total tables that decide the
-converse's subset conditions, in plain Python ints.  The alignment loop
-takes and returns the filters as per-user tuples, the form `beamform` uses
-everywhere else.
+iteration, in numpy, and the stream-total tables that find the first
+violating subset pair of each of the converse's subset conditions, in plain
+Python ints (`subset_scan`, one call per `feasibility.check_necessary`).
+The alignment loop takes and returns the filters as per-user tuples, the
+form `beamform` uses everywhere else.
 """
 
 from itertools import accumulate
@@ -14,9 +15,6 @@ import numpy as np
 from .model import _guard_entries
 
 BACKEND = "numpy"
-# Entries of the widest array in one block of allocations of the DoF search,
-# unless one allocation alone needs more.
-BLOCK = 1 << 16
 _PHASE_TOL = 1e-12
 
 
@@ -124,12 +122,6 @@ def _lex_first(d, n, tables, hit):
         if completes(i + 1, grown):
             mask, tot = mask | 1 << i, grown
     return mask, tot
-
-
-def converse_holds(d_a, n_a, d_b, n_b):
-    """Whether no subset pair of one allocation violates 8d or 8e."""
-    ta, _, hits = _converse(d_a, n_a, d_b, n_b)
-    return not any(hit((s, m, v)) for hit in hits for s, (m, v) in ta[0].items())
 
 
 def subset_scan(d_a, n_a, d_b, n_b):

@@ -16,13 +16,13 @@ Three deciders are provided:
   holds this test is exact, which the report flags.
 
 `search_max_sum_dof` scans allocations in descending sum order and returns
-the best one passing the selected decider.  It filters them as arrays and
-runs the scalar decider only on the candidates.  Both modes share an O(users)
-pre-check per allocation: the stream budgets 8a-8c and the counting bound
-over all users (alignment equations <= variables, which is 8e at the pair of
-full user sets).  The converse filter then decides the survivors only, from
-the same tables as `check_necessary`.  User indices in witnesses are 1-based
-to match the (alpha, k) / (beta, l) labeling used everywhere else.
+the best one passing the selected decider.  Both modes run one O(users)
+pre-check per allocation, as arrays over a block: the stream budgets 8a-8c
+and the counting bound over all users (alignment equations <= variables,
+which is 8e at the pair of full user sets).  The survivors then go in order
+through the mode's decider, `check_necessary` or `check_sufficient`, and
+the first pass wins.  User indices in witnesses are 1-based to match the
+(alpha, k) / (beta, l) labeling used everywhere else.
 """
 
 from dataclasses import dataclass, replace
@@ -37,6 +37,9 @@ from .model import (ChannelSet, DofAllocation, NetworkConfig, RngStream,
                     validate_trials)
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
+# Entries of the widest array in one block of allocations of the search,
+# unless one allocation alone needs more.
+BLOCK = 1 << 16
 DEFAULT_RANK_TRIALS = 5
 RANK_RTOL = 1e-10
 
@@ -142,12 +145,13 @@ def _alignment_offsets(config, dof):
     """Block start offsets ``(rows, cols)`` of the alignment coefficient
     matrix, each ending in the matrix dimension.
 
-    ``rows[k * L + l]`` starts the (k, l) block of d_alpha_k * d_beta_l
-    equations, k-major; ``cols[k]`` starts the receive-filter block of user
-    (alpha, k) and ``cols[K + l]`` the transmit-filter block of user (beta, l).
+    ``rows[k]`` starts the d_alpha_k * sum(d_beta) equations of user
+    (alpha, k), its (k, l) blocks of d_alpha_k * d_beta_l in l order;
+    ``cols[k]`` starts the receive-filter block of user (alpha, k) and
+    ``cols[K + l]`` the transmit-filter block of user (beta, l).  Both are
+    O(users) long.
     """
-    rows = accumulate((da * db for da in dof.d_alpha for db in dof.d_beta),
-                      initial=0)
+    rows = accumulate((da * dof.sum_beta for da in dof.d_alpha), initial=0)
     free = chain(zip(dof.d_alpha, config.n_alpha), zip(dof.d_beta, config.n_beta))
     cols = accumulate((d * (n - d) for d, n in free), initial=0)
     return tuple(rows), tuple(cols)
@@ -170,14 +174,15 @@ def build_alignment_matrix(channels, dof):
     """
     config, _ = validate_config(channels.config, dof)
     rows, cols = _alignment_offsets(config, dof)
-    num_alpha, num_beta = config.num_alpha, config.num_beta
+    num_alpha = config.num_alpha
     _guard_entries(rows[-1] * cols[-1], "the alignment matrix")
     mat = np.zeros((rows[-1], cols[-1]), dtype=np.complex128)
     for k, da in enumerate(dof.d_alpha):
+        r0 = rows[k]
         for l, db in enumerate(dof.d_beta):
             g = channels.g_cross[k][l]
-            r0 = rows[k * num_beta + l]
             block = mat[r0:r0 + da * db]
+            r0 += da * db
             lower = g[da:, :db].T
             block[:, cols[k]:cols[k + 1]] = (
                 np.eye(da)[:, None, :, None] * lower[:, None, :]
@@ -216,11 +221,8 @@ def check_sufficient(config, dof, trials=DEFAULT_RANK_TRIALS, rng=None):
     conditions = _budget_conditions(config, dof)
     if not all(c.passed for c in conditions):
         return _make_report(conditions)
-    # the alignment matrix's shape: sum_a * sum_b equations, sum d(N - d)
-    # variables
-    n_rows = dof.sum_alpha * dof.sum_beta
-    n_cols = sum(d * (n - d) for d, n in zip(dof.d_alpha + dof.d_beta,
-                                             config.n_alpha + config.n_beta))
+    rows, cols = _alignment_offsets(config, dof)
+    n_rows, n_cols = rows[-1], cols[-1]
     ranks = []
     if 0 < n_rows <= n_cols:
         for t in range(trials):
@@ -331,21 +333,35 @@ def hall_condition(config, d_alpha, d_beta):
     b_counts = tuple((n - d_beta) // d_alpha for n in config.n_beta)
     owner = {}
 
-    def try_assign(pair, seen):
+    def spares(pair):
         k, l = pair
-        spares = [("alpha", k, i) for i in range(a_counts[k])]
-        spares += [("beta", l, j) for j in range(b_counts[l])]
-        for spare in spares:
-            if spare in seen:
+        return chain((("alpha", k, i) for i in range(a_counts[k])),
+                     (("beta", l, j) for j in range(b_counts[l])))
+
+    def augment(root):
+        # depth-first search for an augmenting path from ``root``, with an
+        # explicit stack of (pair, its untried spares) and the spare each
+        # frame below the top is trying; on reaching a free spare, every
+        # pair on the path takes the spare it tried
+        seen, path, tried = set(), [(root, spares(root))], []
+        while path:
+            spare = next((s for s in path[-1][1] if s not in seen), None)
+            if spare is None:
+                path.pop()
+                if tried:
+                    tried.pop()
                 continue
             seen.add(spare)
-            if spare not in owner or try_assign(owner[spare], seen):
-                owner[spare] = pair
+            tried.append(spare)
+            if spare not in owner:
+                for (pair, _), taken in zip(path, tried):
+                    owner[taken] = pair
                 return True
+            path.append((owner[spare], spares(owner[spare])))
         return False
 
     pairs = [(k, l) for k in range(config.num_alpha) for l in range(config.num_beta)]
-    passed = all(try_assign(pair, set()) for pair in pairs)
+    passed = all(augment(pair) for pair in pairs)
     matching = {pair: spare for spare, pair in owner.items()} if passed else None
     return HallResult(passed, matching, a_counts, b_counts)
 
@@ -459,57 +475,45 @@ def _allocation_blocks(config, total, rows):
     yield from expand(np.zeros((1, users), dtype=np.int64), 0)
 
 
-def _block_candidates(config, block, mode):
-    """Which allocations of a block (rows as from `_allocation_blocks`) can
-    pass the decider of ``mode``.
-
-    Both modes first run one pre-check per row: the stream budgets 8a-8c
-    and the counting bound over all users, alignment equations <= variables
-    (8e at the pair of full user sets).  A row failing it fails both
-    deciders, so in sufficient mode these are the rows `check_sufficient`
-    fails without a draw.  In necessary mode the survivors are then decided
-    one by one from the stream-total tables of `check_necessary`, and the
-    result is the verdict of 8a-8e.
+def _precheck(config, block):
+    """Which allocations of a block (rows as from `_allocation_blocks`) pass
+    the O(users) pre-check: the stream budgets 8a-8c and the counting bound
+    over all users, alignment equations <= variables (8e at the pair of full
+    user sets).  A row failing it fails both deciders; these are the rows
+    `check_sufficient` fails without a draw.
     """
     num_a = config.num_alpha
-    d_a, d_b = block[:, :num_a], block[:, num_a:]
-    sum_a, sum_b = d_a.sum(axis=1), d_b.sum(axis=1)
+    sum_a, sum_b = block[:, :num_a].sum(axis=1), block[:, num_a:].sum(axis=1)
     free = block * (np.array(config.n_alpha + config.n_beta) - block)
-    keep = ((sum_a <= config.m_alpha) & (sum_b <= config.m_beta)
+    return ((sum_a <= config.m_alpha) & (sum_b <= config.m_beta)
             & (sum_a + sum_b <= max(config.m_alpha, config.m_beta))
             & (sum_a * sum_b <= free.sum(axis=1)))
-    if mode == "necessary" and keep.any():
-        rows = np.flatnonzero(keep)
-        keep[rows] = [_kernels.converse_holds(a, config.n_alpha, b, config.n_beta)
-                      for a, b in zip(d_a[rows].tolist(), d_b[rows].tolist())]
-    return keep
 
 
 def search_max_sum_dof(config, mode="necessary", trials=DEFAULT_RANK_TRIALS,
-                       rng=None, budget=DEFAULT_SEARCH_BUDGET):
+                       rng=None):
     """Maximum sum DoF over allocations passing the selected decider.
 
     Allocations are tried in descending sum, lexicographic ascending within a
-    sum, and the first pass wins.  Each block of allocations is first
-    filtered as arrays (`_block_candidates`); the candidates then go in order
-    through the scalar decider, whose report is returned for the winner.
-    ``examined`` is the winner's 1-based position among all allocations
-    enumerated.  The all-zero allocation passes both deciders, so the search
-    always returns.  Raises `BudgetError` when the raw allocation space
-    prod(N + 1) exceeds ``budget``.
+    sum, and the first pass wins.  Each block of allocations is pre-checked
+    as arrays (`_precheck`); the survivors then go in order through the
+    mode's decider, whose report is returned for the winner.  ``examined`` is
+    the winner's 1-based position among all allocations enumerated.  The
+    all-zero allocation passes both deciders, so the search always returns.
+    Raises `BudgetError` when the raw allocation space prod(N + 1) exceeds
+    `DEFAULT_SEARCH_BUDGET`.
     """
     if mode not in ("necessary", "sufficient"):
         raise ConfigError(f"unknown search mode {mode!r}")
-    budget = _as_int(budget, "budget")
     space = 1
     for n in list(config.n_alpha) + list(config.n_beta):
         space *= n + 1
-        if space > budget:
-            raise BudgetError(
-                f"allocation space exceeds the search budget of {budget}")
+        if space > DEFAULT_SEARCH_BUDGET:
+            raise BudgetError("allocation space exceeds the search budget of "
+                              f"{DEFAULT_SEARCH_BUDGET}")
     if mode == "sufficient":
         trials = validate_trials(trials)
-    rows = max(1, _kernels.BLOCK // (config.num_alpha + config.num_beta))
+    rows = max(1, BLOCK // (config.num_alpha + config.num_beta))
     if rng is None:
         rng = RngStream(0, 0)
     cap = min(max(config.m_alpha, config.m_beta),
@@ -519,7 +523,7 @@ def search_max_sum_dof(config, mode="necessary", trials=DEFAULT_RANK_TRIALS,
     examined = 0
     for total in range(cap, -1, -1):
         for block in _allocation_blocks(config, total, rows):
-            for i in np.flatnonzero(_block_candidates(config, block, mode)).tolist():
+            for i in np.flatnonzero(_precheck(config, block)).tolist():
                 dof = DofAllocation(tuple(block[i, :num_a].tolist()),
                                     tuple(block[i, num_a:].tolist()))
                 if mode == "necessary":
@@ -532,15 +536,14 @@ def search_max_sum_dof(config, mode="necessary", trials=DEFAULT_RANK_TRIALS,
     raise AssertionError("unreachable: the all-zero allocation always passes")
 
 
-def search_optimal(config, trials=DEFAULT_RANK_TRIALS, rng=None,
-                   budget=DEFAULT_SEARCH_BUDGET):
+def search_optimal(config, trials=DEFAULT_RANK_TRIALS, rng=None):
     """Run both search modes and flag optimality when their maxima agree.
 
     Returns a dict with the two `SearchResult`s, the certified flag, and the
     gap between the converse bound and the certified value.
     """
-    necessary = search_max_sum_dof(config, "necessary", trials, rng, budget)
-    sufficient = search_max_sum_dof(config, "sufficient", trials, rng, budget)
+    necessary = search_max_sum_dof(config, "necessary", trials, rng)
+    sufficient = search_max_sum_dof(config, "sufficient", trials, rng)
     return {
         "necessary": necessary,
         "sufficient": sufficient,

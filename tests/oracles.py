@@ -29,7 +29,8 @@ from ia_rtdd.errors import NumericalError, SingularSystemError
 from ia_rtdd.evaluate import (SweepResult, _round_robin_streams, _single_cell_links,
                               _single_cell_rates, baseline_point_to_point,
                               power_profile_for_snr, snr_to_power, sum_rate)
-from ia_rtdd.feasibility import SearchResult, check_necessary, check_sufficient
+from ia_rtdd.feasibility import (HallResult, SearchResult, check_necessary,
+                                 check_sufficient)
 from ia_rtdd.model import DofAllocation, RngStream, sample_channels
 
 
@@ -86,6 +87,33 @@ def brute_symmetric_counting(config, d_alpha, d_beta):
         if lhs > rhs:
             return False
     return True
+
+
+def recursive_hall_condition(config, d_alpha, d_beta):
+    """`feasibility.hall_condition` with a recursive augmenting path, for a
+    divisible symmetric allocation: pairs in (k, l) order, each trying the
+    spare blocks of its downlink user, then of its uplink user."""
+    a_counts = tuple((n - d_alpha) // d_beta for n in config.n_alpha)
+    b_counts = tuple((n - d_beta) // d_alpha for n in config.n_beta)
+    owner = {}
+
+    def try_assign(pair, seen):
+        k, l = pair
+        spares = [("alpha", k, i) for i in range(a_counts[k])]
+        spares += [("beta", l, j) for j in range(b_counts[l])]
+        for spare in spares:
+            if spare in seen:
+                continue
+            seen.add(spare)
+            if spare not in owner or try_assign(owner[spare], seen):
+                owner[spare] = pair
+                return True
+        return False
+
+    pairs = [(k, l) for k in range(config.num_alpha) for l in range(config.num_beta)]
+    passed = all(try_assign(pair, set()) for pair in pairs)
+    matching = {pair: spare for spare, pair in owner.items()} if passed else None
+    return HallResult(passed, matching, a_counts, b_counts)
 
 
 def per_block_alignment_matrix(channels, d_alpha, d_beta):

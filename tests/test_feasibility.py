@@ -14,12 +14,16 @@ from ia_rtdd import (BudgetError, ConfigError, DofAllocation, MatchingError,
 
 from oracles import (brute_first_violations, brute_necessary,
                      brute_symmetric_counting, brute_violations, iter_allocations,
-                     per_block_alignment_matrix, reference_search)
+                     per_block_alignment_matrix, recursive_hall_condition,
+                     reference_search)
 
 EX1 = NetworkConfig(10, (4, 6, 6), 13, (3, 6))
 EX2 = NetworkConfig(8, (2, 3, 8), 12, (3, 7))
 EX4 = NetworkConfig(12, (6, 6, 8), 16, (6, 6))
 SIM = NetworkConfig(12, (8, 8, 8, 8), 18, (4, 4, 4))
+# a network whose converse search decides nine pre-check survivors that fail
+# before its winner
+MIXED = NetworkConfig(10, (6, 7, 2), 13, (3, 2, 1))
 
 
 def random_small_config(rng, max_users=3, max_antennas=8):
@@ -463,6 +467,35 @@ class TestHallAndSpecialRealization:
         with pytest.raises(ConfigError, match="divisible"):
             ia.hall_condition(cfg, 1, 2)
 
+    def test_matches_recursive_oracle(self):
+        # criterion 9's 100 networks: equal results, matchings included
+        rng = np.random.default_rng(99)
+        checked = passed = 0
+        while checked < 100:
+            cfg = random_small_config(rng)
+            d_a = int(rng.integers(1, min(cfg.n_alpha) + 1))
+            d_b = int(rng.integers(1, min(cfg.n_beta) + 1))
+            if any((n - d_a) % d_b for n in cfg.n_alpha) \
+                    or any((n - d_b) % d_a for n in cfg.n_beta):
+                continue
+            checked += 1
+            result = ia.hall_condition(cfg, d_a, d_b)
+            assert result == recursive_hall_condition(cfg, d_a, d_b)
+            passed += result.passed
+        assert 0 < passed < 100
+
+    def test_forty_plus_forty_users_answer(self):
+        # 1600 pairs and 3120 spare blocks: augmenting paths far deeper than
+        # the interpreter's recursion limit
+        cfg = NetworkConfig(10**6, (40,) * 40, 10**6, (40,) * 40)
+        result = ia.hall_condition(cfg, 1, 1)
+        assert result.passed
+        assert result.a_counts == result.b_counts == (39,) * 40
+        assert sorted(result.matching) == [(k, l) for k in range(40) for l in range(40)]
+        assert len(set(result.matching.values())) == 1600
+        assert all(user == (k if side == "alpha" else l)
+                   for (k, l), (side, user, _) in result.matching.items())
+
     def test_minimal_special_realization(self):
         cfg = NetworkConfig(9, (2,), 9, (2,))
         ch = ia.construct_special_realization(cfg, 1, 1)
@@ -547,25 +580,14 @@ class TestSearch:
 
     def test_budget_guard(self):
         cfg = NetworkConfig(9, (9,) * 8, 9, (9,) * 8)
-        with pytest.raises(BudgetError):
-            ia.search_max_sum_dof(cfg, "necessary", budget=1000)
-
-    def test_budget_must_be_an_integer(self):
-        # a budget is never truncated: 2.5 is not 2, and True is not 1
-        cfg = NetworkConfig(2, (1,), 2, (1,))
-        for bad in ("x", None, True, 2.5, [4]):
-            with pytest.raises(ConfigError, match="budget must be an integer"):
-                ia.search_max_sum_dof(cfg, "necessary", budget=bad)
-        # an integral float is its integer, as for every other count
-        assert ia.search_max_sum_dof(cfg, "necessary", budget=4.0).d_sum == 1
-        with pytest.raises(BudgetError, match="budget of 3"):
-            ia.search_max_sum_dof(cfg, "necessary", budget=np.int64(3))
+        with pytest.raises(BudgetError, match="budget of 2000000"):
+            ia.search_max_sum_dof(cfg, "necessary")
 
     def test_guards_come_before_the_search(self):
         # the budget guard first, then the trial count (sufficient mode),
         # both before any allocation is tried
         big = NetworkConfig(2, (2,) * 11, 2, (2,) * 10)
-        wide = NetworkConfig(2, (1,) * 11, 2, (1,) * 10)
+        wide = NetworkConfig(2, (1,) * 10, 2, (1,) * 10)
         with mock.patch.object(feasibility, "check_necessary") as nec, \
                 mock.patch.object(feasibility, "check_sufficient") as suf:
             for mode in ("necessary", "sufficient"):
@@ -573,8 +595,7 @@ class TestSearch:
                     ia.search_max_sum_dof(big, mode, trials=0)
             for bad in (0, 2.5, "5"):
                 with pytest.raises(ConfigError, match="trials"):
-                    ia.search_max_sum_dof(wide, "sufficient", trials=bad,
-                                          budget=1 << 21)
+                    ia.search_max_sum_dof(wide, "sufficient", trials=bad)
         assert nec.call_count == suf.call_count == 0
 
     def test_mode_names(self):
@@ -606,15 +627,13 @@ class TestSearch:
                 got = [tuple(row) for b in blocks for row in b.tolist()]
                 assert got == want
 
-    @pytest.mark.parametrize("block_size", [_kernels.BLOCK, 1])
-    def test_necessary_filter_matches_brute_force(self, block_size, monkeypatch):
+    def test_precheck_matches_brute_force(self):
         # seeded blocks of random rows and of rows capped at one stream count
         # per cell (these reach the all-users counting bound), row by row
-        # against the definitions; each block's rows that fail the budgets or
-        # that bound are also filtered on their own, as a block in which no
-        # row survives
-        monkeypatch.setattr(_kernels, "BLOCK", block_size)
-        seen = {"only_full_pair": 0, "smaller_pair": 0, "no_survivor_block": 0}
+        # against 8a-8c and 8e at the full pair from the definitions; a row
+        # passing every converse condition always passes
+        seen = {"pass": 0, "budgets_fail": 0, "full_pair_fails": 0,
+                "smaller_pair_only": 0}
         for seed in range(40):
             rng = np.random.default_rng(9000 + seed)
             n_alpha, n_beta = (tuple(int(n) for n in rng.integers(1, 5, rng.integers(1, 4)))
@@ -628,26 +647,78 @@ class TestSearch:
                       for a in range(1, 5) for b in range(1, 5)]
             block = np.concatenate((rng.integers(0, caps + 1, (20, len(caps))), capped))
             full = (tuple(range(num_a)), tuple(range(cfg.num_beta)))
-            want, dropped = [], []
+            want = []
             for row in block.tolist():
                 d_a, d_b = row[:num_a], row[num_a:]
                 verdict = brute_necessary(cfg, d_a, d_b)
                 bound, count = brute_violations(cfg, d_a, d_b)
                 budgets = verdict["8a"] and verdict["8b"] and verdict["8c"]
-                if budgets and not bound and count == [full]:
-                    seen["only_full_pair"] += 1
-                elif budgets and (bound or count) and full not in count:
-                    seen["smaller_pair"] += 1
-                if not budgets or full in count:
-                    dropped.append(row)
-                want.append(all(verdict.values()))
-            got = feasibility._block_candidates(cfg, block, "necessary")
-            assert got.tolist() == want
-            if dropped:
-                seen["no_survivor_block"] += 1
-                assert not feasibility._block_candidates(
-                    cfg, np.array(dropped), "necessary").any()
+                want.append(budgets and full not in count)
+                if not budgets:
+                    seen["budgets_fail"] += 1
+                elif full in count:
+                    seen["full_pair_fails"] += 1
+                elif bound or count:
+                    seen["smaller_pair_only"] += 1
+                else:
+                    seen["pass"] += 1
+            got = feasibility._precheck(cfg, block).tolist()
+            assert got == want
         assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("mode", ["necessary", "sufficient"])
+    @pytest.mark.parametrize("name", ["EX1", "EX2", "dual_EX1", "EX4", "SIM", "mixed"])
+    def test_deciders_see_prechecked_allocations_in_order(self, name, mode):
+        # each allocation handed to the mode's decider passes the pre-check,
+        # the calls follow the enumeration order without a gap and stop at
+        # the first pass; the other decider is never called
+        cfg = {"EX1": EX1, "EX2": EX2, "dual_EX1": ia.dual_config(EX1),
+               "EX4": EX4, "SIM": SIM, "mixed": MIXED}[name]
+        decided = []
+
+        def recorder(decider):
+            def record(config, dof, *args):
+                report = decider(config, dof, *args)
+                decided.append((dof, report.verdict))
+                return report
+            return record
+
+        with mock.patch.object(feasibility, "check_necessary",
+                               recorder(feasibility.check_necessary)), \
+                mock.patch.object(feasibility, "check_sufficient",
+                                  recorder(feasibility.check_sufficient)):
+            result = ia.search_max_sum_dof(cfg, mode)
+        decider = ia.check_necessary if mode == "necessary" else ia.check_sufficient
+
+        def survives(dof):
+            # 8a-8c, and 8e at the full pair
+            a, b = dof.sum_alpha, dof.sum_beta
+            free = sum(d * (n - d) for d, n in zip(dof.d_alpha + dof.d_beta,
+                                                   cfg.n_alpha + cfg.n_beta))
+            return (a <= cfg.m_alpha and b <= cfg.m_beta
+                    and a + b <= max(cfg.m_alpha, cfg.m_beta) and a * b <= free)
+
+        survivors = (dof for total in range(sum(cfg.n_alpha) + sum(cfg.n_beta), -1, -1)
+                     for dof in iter_allocations(cfg, total) if survives(dof))
+        want = [next(survivors) for _ in decided]
+        assert [dof for dof, _ in decided] == want
+        assert [verdict for _, verdict in decided] == [False] * (len(decided) - 1) + [True]
+        assert result.allocation == want[-1]
+        assert result.report == decider(cfg, want[-1])
+
+    @pytest.mark.parametrize("block_size", [feasibility.BLOCK, 1])
+    def test_survivors_failing_the_converse(self, block_size, monkeypatch):
+        # nine pre-check survivors fail the converse before the winner, the
+        # 498th allocation; with blocks of one allocation the walk crosses a
+        # block boundary at every row
+        monkeypatch.setattr(feasibility, "BLOCK", block_size)
+        calls = mock.Mock(wraps=feasibility.check_necessary)
+        monkeypatch.setattr(feasibility, "check_necessary", calls)
+        got = ia.search_max_sum_dof(MIXED, "necessary")
+        assert calls.call_count == 10 and got.examined == 498
+        monkeypatch.undo()
+        want = reference_search(MIXED, "necessary")
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
     @pytest.mark.parametrize("mode", ["necessary", "sufficient"])
     @pytest.mark.parametrize("name", ["EX1", "EX2", "dual_EX1", "EX4", "SIM"])
@@ -674,7 +745,7 @@ class TestSearch:
                                            RngStream(seed, 0)).to_dict())
         assert json.dumps(ia.search_max_sum_dof(
             cfg, mode, trials, RngStream(seed, 0)).to_dict()) == want
-        with mock.patch.object(_kernels, "BLOCK", 1):
+        with mock.patch.object(feasibility, "BLOCK", 1):
             assert json.dumps(ia.search_max_sum_dof(
                 cfg, mode, trials, RngStream(seed, 0)).to_dict()) == want
 

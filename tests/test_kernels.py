@@ -24,8 +24,8 @@ def _random_allocation(rng, n):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_stacked_violations_match_one_allocation_at_a_time(seed):
-    # six allocations of a network of up to 6+6 users filtered as one block,
-    # against each decided alone and against the definitions
+    # six allocations of a network of up to 6+6 users pre-checked as one
+    # block and scanned one at a time, against the definitions
     rng = np.random.default_rng(200 + seed)
     k, l = (int(v) for v in rng.integers(1, 7, size=2))
     n_a = tuple(int(v) for v in rng.integers(1, 7, size=k))
@@ -33,12 +33,13 @@ def test_stacked_violations_match_one_allocation_at_a_time(seed):
     cfg = NetworkConfig(99, n_a, 99, n_b)
     block = np.array([_random_allocation(rng, n_a) + _random_allocation(rng, n_b)
                       for _ in range(6)])
-    got = ia.feasibility._block_candidates(cfg, block, "necessary").tolist()
+    got = ia.feasibility._precheck(cfg, block).tolist()
     for row, keep in zip(block.tolist(), got):
         d_a, d_b = row[:k], row[k:]
-        alone = _kernels.converse_holds(d_a, n_a, d_b, n_b)
-        assert alone == (_kernels.subset_scan(d_a, n_a, d_b, n_b) == (None, None))
-        assert keep == alone == all(brute_necessary(cfg, d_a, d_b).values())
+        verdict = brute_necessary(cfg, d_a, d_b)
+        scanned = _kernels.subset_scan(d_a, n_a, d_b, n_b) == (None, None)
+        assert scanned == (verdict["8d"] and verdict["8e"])
+        assert keep or not all(verdict.values())
 
 
 def _assert_scan_matches_oracle(rng, max_users, max_antennas):
@@ -80,12 +81,12 @@ def test_scan_memory_is_bounded_by_the_block():
 
 
 def test_search_memory_is_bounded_by_the_block():
-    # each allocation of an 11+11-user network has 2^22 subset pairs; the
-    # search decides them from tables of at most 12 entries per user
-    cfg = NetworkConfig(1, (1,) * 11, 1, (1,) * 11)
+    # each allocation of a 10+10-user network has 2^20 subset pairs; the
+    # search decides them from tables of at most 11 entries per user
+    cfg = NetworkConfig(1, (1,) * 10, 1, (1,) * 10)
     tracemalloc.start()
     try:
-        result = ia.search_max_sum_dof(cfg, "necessary", budget=1 << 23)
+        result = ia.search_max_sum_dof(cfg, "necessary")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
