@@ -627,11 +627,14 @@ class TestSearch:
                 got = [tuple(row) for b in blocks for row in b.tolist()]
                 assert got == want
 
-    def test_precheck_matches_brute_force(self):
+    @pytest.mark.parametrize("block_size", [feasibility.BLOCK, 1])
+    def test_necessary_filter_matches_brute_force(self, block_size):
         # seeded blocks of random rows and of rows capped at one stream count
-        # per cell (these reach the all-users counting bound), row by row
-        # against 8a-8c and 8e at the full pair from the definitions; a row
-        # passing every converse condition always passes
+        # per cell (these reach the all-users counting bound), pre-checked in
+        # chunks of ``block_size`` rows and compared row by row with 8a-8c and
+        # 8e at the full pair from the definitions; the survivors, decided by
+        # check_necessary, must match the converse from the definitions, so
+        # the pre-check drops no row that passes it
         seen = {"pass": 0, "budgets_fail": 0, "full_pair_fails": 0,
                 "smaller_pair_only": 0}
         for seed in range(40):
@@ -647,13 +650,14 @@ class TestSearch:
                       for a in range(1, 5) for b in range(1, 5)]
             block = np.concatenate((rng.integers(0, caps + 1, (20, len(caps))), capped))
             full = (tuple(range(num_a)), tuple(range(cfg.num_beta)))
-            want = []
+            want_kept, want_decided = [], []
             for row in block.tolist():
                 d_a, d_b = row[:num_a], row[num_a:]
                 verdict = brute_necessary(cfg, d_a, d_b)
                 bound, count = brute_violations(cfg, d_a, d_b)
                 budgets = verdict["8a"] and verdict["8b"] and verdict["8c"]
-                want.append(budgets and full not in count)
+                want_kept.append(budgets and full not in count)
+                want_decided.append(all(verdict.values()))
                 if not budgets:
                     seen["budgets_fail"] += 1
                 elif full in count:
@@ -662,8 +666,13 @@ class TestSearch:
                     seen["smaller_pair_only"] += 1
                 else:
                     seen["pass"] += 1
-            got = feasibility._precheck(cfg, block).tolist()
-            assert got == want
+            kept = np.concatenate([feasibility._precheck(cfg, block[i:i + block_size])
+                                   for i in range(0, len(block), block_size)])
+            assert kept.tolist() == want_kept
+            decided = [bool(keep) and ia.check_necessary(cfg, DofAllocation(
+                tuple(row[:num_a]), tuple(row[num_a:]))).verdict
+                for keep, row in zip(kept.tolist(), block.tolist())]
+            assert decided == want_decided
         assert all(seen.values()), seen
 
     @pytest.mark.parametrize("mode", ["necessary", "sufficient"])
