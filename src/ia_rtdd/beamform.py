@@ -13,7 +13,7 @@ pseudo-inverses of stacked effective channels, the larger base station's
 second.  `residual_report` measures how well a finished beamformer set
 satisfies every alignment condition.  It and the rates of `evaluate` read
 the effective links ``U_r^H H_rt V_t`` of every receiver r and transmitter t
-from one table, `_link_blocks`.
+from one generator, `_link_rows`, one receiver's row at a time.
 """
 
 import itertools
@@ -51,9 +51,7 @@ class IterationOptions:
     leakage_stop: float = 1e-10
 
     def __post_init__(self):
-        object.__setattr__(self, "max_iters", _as_int(self.max_iters, "max_iters"))
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be >= 1")
+        object.__setattr__(self, "max_iters", _as_int(self.max_iters, "max_iters", 1))
         if not self.leakage_stop > 0:
             raise ConfigError("leakage_stop must be > 0")
 
@@ -104,6 +102,8 @@ class BeamformerSet:
 def init_postcoders(config, dof, rng):
     """Haar-random orthonormal initial receive filters, one per downlink user."""
     validate_config(config, dof)
+    _guard_entries(sum(n * d for n, d in zip(config.n_alpha, dof.d_alpha)),
+                   "the initial filters", arrays=config.num_alpha)
     g = rng.generator()
     out = []
     for n, d in zip(config.n_alpha, dof.d_alpha):
@@ -315,20 +315,24 @@ class ResidualReport:
         }
 
 
-def _link_blocks(channels, bf):
-    """Every effective link ``(U_r^H H_rt) V_t`` as ``blocks[r][t]``.
+def _link_rows(channels, bf):
+    """Every effective link ``(U_r^H H_rt) V_t``, one receiver row
+    ``[link_r0, link_r1, ...]`` at a time.
 
     Receivers r and transmitters t both list the downlink users first, then
     the uplink users: r < K is downlink user r and r >= K the uplink BS
     filter of user r - K.  ``H_rt`` is ``h_alpha[r]`` or ``g_cross[r][t - K]``
     at a downlink user and ``g_bs`` or ``h_beta[t - K]`` at the uplink BS.
+    Only the row being read is held, so the links of all (K + L)^2 pairs are
+    never stored at once.
     """
     K = len(bf.u_alpha)
-    rows = [(u, [h] * K + [*g_row])
-            for u, h, g_row in zip(bf.u_alpha, channels.h_alpha, channels.g_cross)]
-    rows += [(u, [channels.g_bs] * K + [*channels.h_beta]) for u in bf.u_beta]
     v = [*bf.v_alpha, *bf.v_beta]
-    return [[u.conj().T @ h @ v_t for h, v_t in zip(h_row, v)] for u, h_row in rows]
+    for u, h, g_row in zip(bf.u_alpha, channels.h_alpha, channels.g_cross):
+        yield [u.conj().T @ h_t @ v_t for h_t, v_t in zip([h] * K + [*g_row], v)]
+    up = [channels.g_bs] * K + [*channels.h_beta]
+    for u in bf.u_beta:
+        yield [u.conj().T @ h_t @ v_t for h_t, v_t in zip(up, v)]
 
 
 def residual_report(channels, bf, dof):
@@ -336,9 +340,11 @@ def residual_report(channels, bf, dof):
     norm of every link block but the desired ones, and the smallest singular
     value of each desired link."""
     K = len(bf.u_alpha)
-    blocks = _link_blocks(channels, bf)
-    norms = np.array([[np.linalg.norm(b) for b in row] for row in blocks])
+    users = K + len(bf.u_beta)
+    norms, margins = np.empty((users, users)), np.empty(users)
+    for r, row in enumerate(_link_rows(channels, bf)):
+        norms[r] = [np.linalg.norm(b) for b in row]
+        margins[r] = _min_singular(row[r])
     np.fill_diagonal(norms, 0.0)
-    margins = np.array([_min_singular(row[r]) for r, row in enumerate(blocks)])
     return ResidualReport(norms[:K, K:], norms[K:, :K], norms[:K, :K],
                           norms[K:, K:], margins[:K], margins[K:])

@@ -2,11 +2,12 @@
 
 Rates follow the standard aligned-MIMO form
 ``log2 det(I + C_desire (I + C_intra + C_inter)^-1)``, read off the
-singular values of each receiver's power-scaled row of effective links from
-`beamform._link_blocks`.  The single-cell baseline completes each cell alone
-with stage 2 (`zero_force_step2`, `normalize`), the other cell's users as
-empty blocks.  The sweep takes one trial at a time: it draws the trial's
-channels and builds its single-cell baseline once, builds the stage-1
+singular values of each receiver's power-scaled row of effective links,
+built one row at a time by `beamform._link_rows`.  The single-cell baseline
+completes each cell alone with stage 2 (`zero_force_step2`, `normalize`),
+the other cell's users as empty blocks, and rebuilds the rows of each cell
+at every SNR.  The sweep takes one trial at a time: it draws the trial's
+channels and builds its single-cell beamformers once, builds the stage-1
 filters of its grid points in one stacked alignment loop (per slice of
 STAGE1_BATCH points), then zero-forces and rates both at every grid point,
 with fixed random substreams, so results are bit-reproducible for a given
@@ -23,7 +24,7 @@ import numpy as np
 from .beamform import (FLOAT_FORMAT, BeamformerSet, PowerProfile,
                        complete_beamformers, construct_beamformers,
                        iterate_alignment_batch, normalize, zero_force_step2,
-                       _link_blocks)
+                       _link_rows)
 from .errors import ConfigError, NumericalError, SingularSystemError
 from .model import (DofAllocation, RngStream, _guard_entries, sample_channels,
                     validate_config, validate_trials)
@@ -60,19 +61,19 @@ class RateBreakdown:
         return sum(self.per_alpha) + sum(self.per_beta)
 
 
-def _user_rates(blocks, powers):
+def _user_rates(rows, powers):
     """Achievable rate of every user in bits per channel use, downlink first.
 
-    ``blocks`` is the link table of `beamform._link_blocks`.  Receiver r
-    scales each link of its row by the root of its transmitter's power per
-    stream; with ``X`` that row and ``Y`` it without the desired link
-    ``blocks[r][r]``, the rate is ``log2 det(I + X X^H) - log2 det(I + Y Y^H)``,
+    ``rows`` are the receiver rows of `beamform._link_rows`, read in order.
+    Receiver r scales each link of its row by the root of its transmitter's
+    power per stream; with ``X`` that row and ``Y`` it without the desired
+    link ``row[r]``, the rate is ``log2 det(I + X X^H) - log2 det(I + Y Y^H)``,
     read off singular values.  Users without streams neither receive nor
     interfere: their blocks are empty.
     """
     p = powers.p_alpha + powers.p_beta
     rates = []
-    for r, row in enumerate(blocks):
+    for r, row in enumerate(rows):
         if not row[r].shape[0]:
             rates.append(0.0)
             continue
@@ -88,7 +89,7 @@ def _user_rates(blocks, powers):
 
 def sum_rate(channels, bf, powers):
     """Per-user rates of a beamformer set, as a `RateBreakdown`."""
-    rates = _user_rates(_link_blocks(channels, bf), powers)
+    rates = _user_rates(_link_rows(channels, bf), powers)
     K = len(bf.u_alpha)
     return RateBreakdown(tuple(rates[:K]), tuple(rates[K:]))
 
@@ -111,13 +112,14 @@ def _round_robin_streams(caps, m_antennas):
 
 
 def _single_cell_links(channels, config):
-    """Zero-forcing link tables of each cell running alone, and the number of
-    downlink users with streams; none of them depends on the SNR.
+    """``(channels, downlink set, uplink set, active)``: the zero-forcing
+    beamformer sets of each cell running alone and the number of downlink
+    users with streams; none of them depends on the SNR.
 
     Streams are dealt round-robin and each user's filter spans the leading
     singular vectors of its direct channel.  Stage 2 then completes each
     cell on its own: the other cell's users get zero-width filters, so their
-    blocks in the table are empty.
+    links are empty blocks.
     """
     d_a = _round_robin_streams(config.n_alpha, config.m_alpha)
     d_b = _round_robin_streams(config.n_beta, config.m_beta)
@@ -127,25 +129,25 @@ def _single_cell_links(channels, config):
     u_alpha = tuple(np.linalg.svd(h)[0][:, :s] for h, s in zip(channels.h_alpha, d_a))
     v_beta = tuple(np.linalg.svd(h)[2].conj().T[:, :s]
                    for h, s in zip(channels.h_beta, d_b))
-    tables = []
+    sets = []
     for dof, u_a, v_b in ((DofAllocation(d_a, [0] * len(d_b)), u_alpha,
                            tuple(v[:, :0] for v in v_beta)),
                           (DofAllocation([0] * len(d_a), d_b),
                            tuple(u[:, :0] for u in u_alpha), v_beta)):
         v_alpha, u_beta = zero_force_step2(channels, dof, u_a, v_b)
-        bf = normalize(BeamformerSet(u_a, v_alpha, u_beta, v_b))
-        tables.append(_link_blocks(channels, bf))
-    return tables[0], tables[1], sum(1 for s in d_a if s)
+        sets.append(normalize(BeamformerSet(u_a, v_alpha, u_beta, v_b)))
+    return channels, sets[0], sets[1], sum(1 for s in d_a if s)
 
 
 def _single_cell_rates(links, config, power):
     """(downlink, uplink) zero-forcing sum rates of the cells of
     `_single_cell_links` at linear power ``power``: the downlink BS splits it
     over its active users, every uplink user transmits at it."""
-    down, up, active = links
+    channels, down, up, active = links
     powers = PowerProfile((power / active,) * config.num_alpha,
                           (power,) * config.num_beta)
-    return sum(_user_rates(down, powers)), sum(_user_rates(up, powers))
+    return tuple(sum(_user_rates(_link_rows(channels, bf), powers))
+                 for bf in (down, up))
 
 
 def baseline_single_cell(config, snr_db, trials, seed):

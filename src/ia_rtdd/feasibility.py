@@ -33,8 +33,8 @@ import numpy as np
 from . import _kernels
 from .errors import BudgetError, ConfigError, MatchingError
 from .model import (ChannelSet, DofAllocation, NetworkConfig, RngStream,
-                    _as_int, _guard_entries, sample_channels, validate_config,
-                    validate_trials)
+                    _as_int, _guard_channels, _guard_entries, sample_channels,
+                    validate_config, validate_trials)
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
 # Entries of the widest array in one block of allocations of the search,
@@ -382,6 +382,7 @@ def construct_special_realization(config, d_alpha, d_beta):
     is a block permutation, hence of full row rank.
     """
     d_alpha, d_beta, dof = _expand_symmetric(config, d_alpha, d_beta)
+    _guard_channels(config)
     result = hall_condition(config, d_alpha, d_beta)
     if not result.passed:
         raise MatchingError(

@@ -19,8 +19,9 @@ import numpy as np
 from .errors import ConfigError
 
 # Bound on a cell's antenna total (M, or the sum of its N).  Below it every
-# subset sum, product of two sums and sum of d(N - d) in the converse stays
-# under 2^62, so its int64 arithmetic cannot wrap.
+# stream sum, product of the two cells' sums and sum of d(N - d) in the
+# search's int64 arrays (`feasibility._allocation_blocks`, `_precheck`) stays
+# under 2^62, so they cannot wrap.
 MAX_CELL_ANTENNAS = 1 << 31
 # Bound on the entries of any one array that the network or the allocation
 # sizes: a channel draw, a stage-1 covariance stack, a stage-2 stack, a
@@ -46,14 +47,17 @@ def _guard_entries(entries, what, arrays=0):
                           f"than the limit of 2^26 per array")
 
 
-def _as_int(value, name):
-    """``value`` as a Python int; bools and non-integral values are rejected."""
+def _as_int(value, name, low=None):
+    """``value`` as a Python int of at least ``low`` (when given); bools and
+    non-integral values are rejected."""
     try:
         out = int(value)
     except (TypeError, ValueError, OverflowError):
         out = None
     if out is None or out != value or isinstance(value, (bool, np.bool_)):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if low is not None and out < low:
+        raise ConfigError(f"{name} must be >= {low}, got {out}")
     return out
 
 
@@ -65,11 +69,12 @@ def _plain_number(text, kind=int):
     return kind(text)
 
 
-def _as_int_tuple(values, name):
+def _as_int_tuple(values, name, low):
+    """``values`` as a tuple of `_as_int` entries, each named ``name[i]``."""
     if isinstance(values, str) or not hasattr(values, "__iter__"):
         raise ConfigError(
             f"{name} must be a sequence of integers, got {values!r}")
-    return tuple(_as_int(v, f"{name}[{i + 1}]") for i, v in enumerate(values))
+    return tuple(_as_int(v, f"{name}[{i + 1}]", low) for i, v in enumerate(values))
 
 
 @dataclass(frozen=True)
@@ -82,24 +87,13 @@ class NetworkConfig:
     n_beta: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "m_alpha", _as_int(self.m_alpha, "M_alpha"))
-        object.__setattr__(self, "m_beta", _as_int(self.m_beta, "M_beta"))
-        object.__setattr__(self, "n_alpha", _as_int_tuple(self.n_alpha, "N_alpha"))
-        object.__setattr__(self, "n_beta", _as_int_tuple(self.n_beta, "N_beta"))
-        if self.m_alpha < 1:
-            raise ConfigError(f"M_alpha must be >= 1, got {self.m_alpha}")
-        if self.m_beta < 1:
-            raise ConfigError(f"M_beta must be >= 1, got {self.m_beta}")
-        if len(self.n_alpha) < 1:
-            raise ConfigError("N_alpha must hold at least one user")
-        if len(self.n_beta) < 1:
-            raise ConfigError("N_beta must hold at least one user")
-        for i, n in enumerate(self.n_alpha):
-            if n < 1:
-                raise ConfigError(f"N_alpha[{i + 1}] must be >= 1, got {n}")
-        for i, n in enumerate(self.n_beta):
-            if n < 1:
-                raise ConfigError(f"N_beta[{i + 1}] must be >= 1, got {n}")
+        object.__setattr__(self, "m_alpha", _as_int(self.m_alpha, "M_alpha", 1))
+        object.__setattr__(self, "m_beta", _as_int(self.m_beta, "M_beta", 1))
+        object.__setattr__(self, "n_alpha", _as_int_tuple(self.n_alpha, "N_alpha", 1))
+        object.__setattr__(self, "n_beta", _as_int_tuple(self.n_beta, "N_beta", 1))
+        for name, users in (("N_alpha", self.n_alpha), ("N_beta", self.n_beta)):
+            if not users:
+                raise ConfigError(f"{name} must hold at least one user")
         for name, total in (("M_alpha", self.m_alpha), ("M_beta", self.m_beta),
                             ("the sum of N_alpha", sum(self.n_alpha)),
                             ("the sum of N_beta", sum(self.n_beta))):
@@ -148,14 +142,8 @@ class DofAllocation:
     d_beta: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "d_alpha", _as_int_tuple(self.d_alpha, "d_alpha"))
-        object.__setattr__(self, "d_beta", _as_int_tuple(self.d_beta, "d_beta"))
-        for i, d in enumerate(self.d_alpha):
-            if d < 0:
-                raise ConfigError(f"d_alpha[{i + 1}] must be >= 0, got {d}")
-        for i, d in enumerate(self.d_beta):
-            if d < 0:
-                raise ConfigError(f"d_beta[{i + 1}] must be >= 0, got {d}")
+        object.__setattr__(self, "d_alpha", _as_int_tuple(self.d_alpha, "d_alpha", 0))
+        object.__setattr__(self, "d_beta", _as_int_tuple(self.d_beta, "d_beta", 0))
 
     @property
     def sum_alpha(self):
@@ -191,10 +179,7 @@ class DofAllocation:
 def validate_trials(trials):
     """Require at least one Monte-Carlo trial or channel draw; return the
     count as a Python int."""
-    trials = _as_int(trials, "trials")
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    return trials
+    return _as_int(trials, "trials", 1)
 
 
 def validate_config(config, dof):
@@ -203,20 +188,17 @@ def validate_config(config, dof):
     Raises `ConfigError` naming the offending field on length mismatch or
     when a user is asked for more streams than it has antennas.
     """
-    if len(dof.d_alpha) != config.num_alpha:
-        raise ConfigError(
-            f"d_alpha has {len(dof.d_alpha)} entries but the network has "
-            f"{config.num_alpha} downlink users")
-    if len(dof.d_beta) != config.num_beta:
-        raise ConfigError(
-            f"d_beta has {len(dof.d_beta)} entries but the network has "
-            f"{config.num_beta} uplink users")
-    for i, (d, n) in enumerate(zip(dof.d_alpha, config.n_alpha)):
-        if d > n:
-            raise ConfigError(f"d_alpha[{i + 1}] = {d} exceeds N_alpha[{i + 1}] = {n}")
-    for i, (d, n) in enumerate(zip(dof.d_beta, config.n_beta)):
-        if d > n:
-            raise ConfigError(f"d_beta[{i + 1}] = {d} exceeds N_beta[{i + 1}] = {n}")
+    cells = (("alpha", "downlink", dof.d_alpha, config.n_alpha),
+             ("beta", "uplink", dof.d_beta, config.n_beta))
+    for cell, link, ds, ns in cells:
+        if len(ds) != len(ns):
+            raise ConfigError(f"d_{cell} has {len(ds)} entries but the network has "
+                              f"{len(ns)} {link} users")
+    for cell, _, ds, ns in cells:
+        for i, (d, n) in enumerate(zip(ds, ns)):
+            if d > n:
+                raise ConfigError(
+                    f"d_{cell}[{i + 1}] = {d} exceeds N_{cell}[{i + 1}] = {n}")
     return config, dof
 
 
@@ -229,10 +211,7 @@ class RngStream:
 
     def __post_init__(self):
         for name in ("seed", "stream_index"):
-            value = _as_int(getattr(self, name), name)
-            if value < 0:
-                raise ConfigError(f"{name} must be >= 0, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, 0))
 
     def generator(self):
         seq = np.random.SeedSequence(entropy=self.seed,
@@ -280,6 +259,15 @@ class ChannelSet:
                              tuple(h.shape[1] for h in self.h_beta))
 
 
+def _guard_channels(config):
+    """Raise `ConfigError` when one `ChannelSet` of ``config`` would exceed
+    the entry bound, each of its matrices charged as a separate array."""
+    sum_a, sum_b = sum(config.n_alpha), sum(config.n_beta)
+    _guard_entries(sum_a * (config.m_alpha + sum_b)
+                   + config.m_beta * (sum_b + config.m_alpha), "the channel draw",
+                   arrays=config.num_alpha * (1 + config.num_beta) + config.num_beta + 1)
+
+
 def sample_channels(config, rng):
     """Draw one i.i.d. CN(0,1) realization of every channel matrix.
 
@@ -287,10 +275,7 @@ def sample_channels(config, rng):
     beta links, BS-to-BS link) so a given `RngStream` always yields a
     bit-identical `ChannelSet`.
     """
-    sum_a, sum_b = sum(config.n_alpha), sum(config.n_beta)
-    _guard_entries(sum_a * (config.m_alpha + sum_b)
-                   + config.m_beta * (sum_b + config.m_alpha), "the channel draw",
-                   arrays=config.num_alpha * (1 + config.num_beta) + config.num_beta + 1)
+    _guard_channels(config)
     g = rng.generator()
     h_alpha = tuple(_freeze(complex_gaussian(g, n, config.m_alpha))
                     for n in config.n_alpha)

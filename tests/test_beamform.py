@@ -1,5 +1,6 @@
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,27 @@ SIM_DOF = DofAllocation((3, 3, 3, 3), (2, 2, 2))
 
 def unit_powers(config):
     return PowerProfile((1.0,) * config.num_alpha, (1.0,) * config.num_beta)
+
+
+@pytest.mark.parametrize("build, message", [
+    # a 2^20 x 2^20 zero cross channel
+    (lambda: ia.construct_special_realization(
+        NetworkConfig(2, (1 << 20,), 2, (1 << 20,)), 1, 1),
+     "the channel draw would hold 1099515822084 entries"),
+    # one 2^30 x 2^30 filter
+    (lambda: ia.init_postcoders(NetworkConfig(2, (1 << 30,), 2, (1,)),
+                                DofAllocation((1 << 30,), (1,)), RngStream(0, 1)),
+     "the initial filters would hold 1152921504606846976 entries"),
+], ids=["special_realization", "init_postcoders"])
+def test_oversized_builders_refuse_before_allocating(build, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=message):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 class TestInitPostcoders:
@@ -129,7 +151,7 @@ class TestIterateAlignment:
         for bad in (2.5, True, "10", None):
             with pytest.raises(ia.ConfigError, match="max_iters must be an integer"):
                 IterationOptions(max_iters=bad)
-        with pytest.raises(ia.ConfigError, match="max_iters must be >= 1"):
+        with pytest.raises(ia.ConfigError, match="max_iters must be >= 1, got 0"):
             IterationOptions(max_iters=0)
         assert IterationOptions(max_iters=np.int64(7)).max_iters == 7
         assert type(IterationOptions(max_iters=7.0).max_iters) is int

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,26 @@ def test_link_table_matches_per_link_references(seed):
     for a, b in zip(got, per_link_residuals(ch, bf)):
         assert a.shape == b.shape and a.dtype == b.dtype
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("measure, arg", [
+    (ia.residual_report, DofAllocation((1,) * 150, (1,) * 150)),
+    (ia.sum_rate, PowerProfile((1.0,) * 150, (1.0,) * 150)),
+], ids=["residual_report", "sum_rate"])
+def test_link_rows_hold_one_receiver_at_a_time(measure, arg):
+    # 150 + 150 one-antenna users: the 300^2 links of all pairs would take
+    # over 13 MiB as separate 1 x 1 products, one receiver's row under 0.1 MiB
+    config = NetworkConfig(1, (1,) * 150, 1, (1,) * 150)
+    ch = ia.sample_channels(config, RngStream(0, 0))
+    unit = (np.ones((1, 1), dtype=complex),) * 150
+    bf = BeamformerSet(unit, unit, unit, unit)
+    tracemalloc.start()
+    try:
+        measure(ch, bf, arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 class TestSnrGuard:

@@ -49,7 +49,9 @@ class TestConfigTypes:
         ((2, (2,), 2, []), "N_beta must hold at least one user"),
         ((2, (2,), 2, (2, 0)), r"N_beta\[2\] must be >= 1, got 0"),
         ((2, 2, 2, (2,)), "N_alpha must be a sequence of integers, got 2"),
-        ((2, (2,), 2, 2.0), "N_beta must be a sequence of integers, got 2.0")])
+        ((2, (2,), 2, 2.0), "N_beta must be a sequence of integers, got 2.0"),
+        # each field is converted and bounded before the next is read
+        ((0, ("x",), 1, (1,)), "M_alpha must be >= 1, got 0")])
     def test_network_field_errors(self, args, message):
         with pytest.raises(ConfigError, match=message):
             NetworkConfig(*args)
