@@ -10,7 +10,8 @@ Three deciders are provided:
   Condition ids "8a".."8e".
 * `check_sufficient` - the achievability side: the stream budgets "8a".."8c"
   plus full row rank of the alignment coefficient matrix on sampled
-  channels, majority-voted over independent draws.  Condition id "rank".
+  channels, majority-voted over independent draws, which are built and
+  ranked as stacks (one batched SVD each).  Condition id "rank".
 * `check_symmetric_sufficient` - the compact test for per-cell symmetric
   allocations, ids "13a".."13e"; when the divisibility condition "13d"
   holds this test is exact, which the report flags.
@@ -21,8 +22,9 @@ pre-check per allocation, as arrays over a block: the stream budgets 8a-8c
 and the counting bound over all users (alignment equations <= variables,
 which is 8e at the pair of full user sets).  The survivors then go in order
 through the mode's decider, `check_necessary` or `check_sufficient`, and
-the first pass wins.  User indices in witnesses are 1-based to match the
-(alpha, k) / (beta, l) labeling used everywhere else.
+the first pass wins.  `search_optimal` walks the survivors once for both
+modes.  User indices in witnesses are 1-based to match the (alpha, k) /
+(beta, l) labeling used everywhere else.
 """
 
 from dataclasses import dataclass, replace
@@ -33,8 +35,8 @@ import numpy as np
 from . import _kernels
 from .errors import BudgetError, ConfigError, MatchingError
 from .model import (ChannelSet, DofAllocation, NetworkConfig, RngStream,
-                    _as_int, _guard_channels, _guard_entries, sample_channels,
-                    validate_config, validate_trials)
+                    _as_int, _draw_entries, _guard_channels, _guard_entries,
+                    sample_channels, validate_config, validate_trials)
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
 # Entries of the widest array in one block of allocations of the search,
@@ -170,49 +172,72 @@ def build_alignment_matrix(channels, dof):
     Block (k, l) reads only the off-corner blocks of G_kl: the lower left
     ``G_kl[d_alpha_k:, :d_beta_l]`` (transposed, once per stream of user
     (alpha, k)) and the upper right ``G_kl[:d_alpha_k, d_beta_l:]`` (each
-    row once per stream of user (beta, l)).
+    row once per stream of user (beta, l)).  This is the one-draw case of
+    the stack `check_sufficient` builds.
     """
     config, _ = validate_config(channels.config, dof)
     rows, cols = _alignment_offsets(config, dof)
-    num_alpha = config.num_alpha
     _guard_entries(rows[-1] * cols[-1], "the alignment matrix")
-    mat = np.zeros((rows[-1], cols[-1]), dtype=np.complex128)
+    return _alignment_stack([channels], dof, rows, cols)[0]
+
+
+def _alignment_stack(draws, dof, rows, cols):
+    """The alignment coefficient matrices of the `ChannelSet`s ``draws``,
+    stacked over a leading axis; ``rows, cols`` are `_alignment_offsets`.
+
+    Each block is the product of an identity with the draws' channel blocks,
+    entry by entry the product `build_alignment_matrix` documents, so every
+    matrix of the stack is byte-equal to one built alone.
+    """
+    num_alpha = len(dof.d_alpha)
+    mat = np.zeros((len(draws), rows[-1], cols[-1]), dtype=np.complex128)
     for k, da in enumerate(dof.d_alpha):
         r0 = rows[k]
         for l, db in enumerate(dof.d_beta):
-            g = channels.g_cross[k][l]
-            block = mat[r0:r0 + da * db]
+            g = np.stack([channels.g_cross[k][l] for channels in draws])
+            block = mat[:, r0:r0 + da * db]
             r0 += da * db
-            lower = g[da:, :db].T
-            block[:, cols[k]:cols[k + 1]] = (
-                np.eye(da)[:, None, :, None] * lower[:, None, :]
-            ).reshape(da * db, da * lower.shape[1])
-            upper = g[:da, db:]
-            block[:, cols[num_alpha + l]:cols[num_alpha + l + 1]] = (
-                np.eye(db)[:, :, None] * upper[:, None, None, :]
-            ).reshape(da * db, db * upper.shape[1])
+            lower = g[:, da:, :db].transpose(0, 2, 1)
+            block[:, :, cols[k]:cols[k + 1]] = (
+                np.eye(da)[:, None, :, None] * lower[:, None, :, None, :]
+            ).reshape(len(draws), da * db, da * lower.shape[2])
+            upper = g[:, :da, db:]
+            block[:, :, cols[num_alpha + l]:cols[num_alpha + l + 1]] = (
+                np.eye(db)[:, :, None] * upper[:, :, None, None, :]
+            ).reshape(len(draws), da * db, db * upper.shape[2])
     return mat
 
 
 def numeric_rank(a):
-    """SVD rank with threshold RANK_RTOL * sigma_max * max(shape)."""
+    """SVD rank with threshold RANK_RTOL * sigma_max * max(rows, cols).
+
+    ``a`` is one matrix, whose rank is returned as an int, or a stack of
+    matrices over leading axes, whose ranks are returned as an integer array
+    of those axes' shape from one batched SVD.  Empty and all-zero matrices
+    have rank 0.
+    """
     if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > RANK_RTOL * s[0] * max(a.shape)))
+        ranks = np.zeros(a.shape[:-2], dtype=np.int64)
+    else:
+        s = np.linalg.svd(a, compute_uv=False)
+        ranks = np.count_nonzero(s > RANK_RTOL * s[..., :1] * max(a.shape[-2:]),
+                                 axis=-1)
+    return int(ranks) if a.ndim == 2 else ranks
 
 
 def check_sufficient(config, dof, trials=DEFAULT_RANK_TRIALS, rng=None):
     """Achievability test: stream budgets plus generic full row rank.
 
-    Draws ``trials`` independent channel realizations, builds the alignment
-    coefficient matrix for each, and requires a strict majority to reach
-    full row rank.  A matrix with more rows than columns is reported as
-    structurally impossible without sampling; a matrix with zero rows passes
-    vacuously (no cross-interference equations to solve).  Raises
-    `ConfigError` unless ``trials >= 1``.
+    Draws ``trials`` independent channel realizations (draw t from
+    ``rng.shifted(t)``; ``rng`` itself is not consumed), builds the
+    alignment coefficient matrix for each, and requires a strict majority to
+    reach full row rank.  The draws are built and ranked as stacks, each of
+    as many draws as keep its channel and matrix entries within `BLOCK`
+    (at least one draw), with one batched SVD per stack.  A matrix with more
+    rows than columns is reported as structurally impossible without
+    sampling; a matrix with zero rows passes vacuously (no
+    cross-interference equations to solve).  Raises `ConfigError` unless
+    ``trials >= 1``.
     """
     validate_config(config, dof)
     trials = validate_trials(trials)
@@ -225,9 +250,15 @@ def check_sufficient(config, dof, trials=DEFAULT_RANK_TRIALS, rng=None):
     n_rows, n_cols = rows[-1], cols[-1]
     ranks = []
     if 0 < n_rows <= n_cols:
-        for t in range(trials):
-            channels = sample_channels(config, rng.shifted(t))
-            ranks.append(numeric_rank(build_alignment_matrix(channels, dof)))
+        # the draw's bound first, then the matrix's, as when each draw was
+        # built on its own
+        _guard_channels(config)
+        _guard_entries(n_rows * n_cols, "the alignment matrix")
+        chunk = max(1, BLOCK // (_draw_entries(config) + n_rows * n_cols))
+        for start in range(0, trials, chunk):
+            draws = [sample_channels(config, rng.shifted(t))
+                     for t in range(start, min(start + chunk, trials))]
+            ranks += numeric_rank(_alignment_stack(draws, dof, rows, cols)).tolist()
     full = sum(1 for r in ranks if r == n_rows)
     witness = {"rows": n_rows, "cols": n_cols, "ranks": ranks,
                "full_rank_trials": full, "trials": len(ranks)}
@@ -491,6 +522,58 @@ def _precheck(config, block):
             & (sum_a * sum_b <= free.sum(axis=1)))
 
 
+def _check_budget(config):
+    """Raise `BudgetError` when the raw allocation space prod(N + 1)
+    exceeds `DEFAULT_SEARCH_BUDGET`."""
+    space = 1
+    for n in config.n_alpha + config.n_beta:
+        space *= n + 1
+        if space > DEFAULT_SEARCH_BUDGET:
+            raise BudgetError("allocation space exceeds the search budget of "
+                              f"{DEFAULT_SEARCH_BUDGET}")
+
+
+def _survivors(config):
+    """The allocations passing `_precheck`, in search order (descending sum,
+    lexicographic ascending within a sum), as ``(total, examined, dof)``;
+    ``examined`` is the allocation's 1-based position among all allocations
+    enumerated.  The all-zero allocation comes last."""
+    rows = max(1, BLOCK // (config.num_alpha + config.num_beta))
+    cap = min(max(config.m_alpha, config.m_beta),
+              min(config.m_alpha, sum(config.n_alpha))
+              + min(config.m_beta, sum(config.n_beta)))
+    num_a = config.num_alpha
+    examined = 0
+    for total in range(cap, -1, -1):
+        for block in _allocation_blocks(config, total, rows):
+            for i in np.flatnonzero(_precheck(config, block)).tolist():
+                yield total, examined + i + 1, DofAllocation(
+                    tuple(block[i, :num_a].tolist()), tuple(block[i, num_a:].tolist()))
+            examined += len(block)
+
+
+def _search(config, modes, trials, rng):
+    """The first survivor (`_survivors`) that each mode's decider passes, as
+    a `SearchResult` per mode, from one walk: each survivor goes to the
+    deciders of the modes still without a winner, in the order of
+    ``modes``, and the walk stops once every mode has one.  The deciders
+    are pure, so each mode sees the calls a walk of its own would make."""
+    if rng is None:
+        rng = RngStream(0, 0)
+    found = {}
+    for total, examined, dof in _survivors(config):
+        for mode in modes:
+            if mode in found:
+                continue
+            report = (check_necessary(config, dof) if mode == "necessary"
+                      else check_sufficient(config, dof, trials, rng))
+            if report.verdict:
+                found[mode] = SearchResult(mode, total, dof, report, examined)
+        if len(found) == len(modes):
+            return found
+    raise AssertionError("unreachable: the all-zero allocation always passes")
+
+
 def search_max_sum_dof(config, mode="necessary", trials=DEFAULT_RANK_TRIALS,
                        rng=None):
     """Maximum sum DoF over allocations passing the selected decider.
@@ -502,49 +585,32 @@ def search_max_sum_dof(config, mode="necessary", trials=DEFAULT_RANK_TRIALS,
     the winner's 1-based position among all allocations enumerated.  The
     all-zero allocation passes both deciders, so the search always returns.
     Raises `BudgetError` when the raw allocation space prod(N + 1) exceeds
-    `DEFAULT_SEARCH_BUDGET`.
+    `DEFAULT_SEARCH_BUDGET`, before checking ``trials`` (sufficient mode).
     """
     if mode not in ("necessary", "sufficient"):
         raise ConfigError(f"unknown search mode {mode!r}")
-    space = 1
-    for n in list(config.n_alpha) + list(config.n_beta):
-        space *= n + 1
-        if space > DEFAULT_SEARCH_BUDGET:
-            raise BudgetError("allocation space exceeds the search budget of "
-                              f"{DEFAULT_SEARCH_BUDGET}")
+    _check_budget(config)
     if mode == "sufficient":
         trials = validate_trials(trials)
-    rows = max(1, BLOCK // (config.num_alpha + config.num_beta))
-    if rng is None:
-        rng = RngStream(0, 0)
-    cap = min(max(config.m_alpha, config.m_beta),
-              min(config.m_alpha, sum(config.n_alpha))
-              + min(config.m_beta, sum(config.n_beta)))
-    num_a = config.num_alpha
-    examined = 0
-    for total in range(cap, -1, -1):
-        for block in _allocation_blocks(config, total, rows):
-            for i in np.flatnonzero(_precheck(config, block)).tolist():
-                dof = DofAllocation(tuple(block[i, :num_a].tolist()),
-                                    tuple(block[i, num_a:].tolist()))
-                if mode == "necessary":
-                    report = check_necessary(config, dof)
-                else:
-                    report = check_sufficient(config, dof, trials, rng)
-                if report.verdict:
-                    return SearchResult(mode, total, dof, report, examined + i + 1)
-            examined += len(block)
-    raise AssertionError("unreachable: the all-zero allocation always passes")
+    return _search(config, (mode,), trials, rng)[mode]
 
 
 def search_optimal(config, trials=DEFAULT_RANK_TRIALS, rng=None):
-    """Run both search modes and flag optimality when their maxima agree.
+    """Search both modes in one walk and flag optimality when their maxima
+    agree.
 
+    The allocations are enumerated and pre-checked once; each survivor goes
+    to `check_necessary` and `check_sufficient` until each has passed one,
+    so both results equal those of `search_max_sum_dof` in either mode.
     Returns a dict with the two `SearchResult`s, the certified flag, and the
-    gap between the converse bound and the certified value.
+    gap between the converse bound and the certified value.  Raises
+    `BudgetError` as `search_max_sum_dof` does, then `ConfigError` unless
+    ``trials >= 1``, both before any allocation is decided.
     """
-    necessary = search_max_sum_dof(config, "necessary", trials, rng)
-    sufficient = search_max_sum_dof(config, "sufficient", trials, rng)
+    _check_budget(config)
+    trials = validate_trials(trials)
+    found = _search(config, ("necessary", "sufficient"), trials, rng)
+    necessary, sufficient = found["necessary"], found["sufficient"]
     return {
         "necessary": necessary,
         "sufficient": sufficient,

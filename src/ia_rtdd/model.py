@@ -13,6 +13,7 @@ Conventions used throughout the package:
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -32,6 +33,9 @@ MAX_ARRAY_ENTRIES = 1 << 26
 # tracemalloc a draw of 512 + 512 one-antenna users holds 152 bytes per
 # 1 x 1 matrix (numpy 2.4, CPython 3.11), 136 of them beyond its one entry.
 _ARRAY_OVERHEAD_ENTRIES = 9
+# Entries of one run of whole channel matrices that `_draw` interleaves at
+# once, unless one matrix alone has more.
+_RUN_ENTRIES = 1 << 10
 
 
 def _guard_entries(entries, what, arrays=0):
@@ -259,13 +263,67 @@ class ChannelSet:
                              tuple(h.shape[1] for h in self.h_beta))
 
 
+def _channel_shapes(config):
+    """``(rows, cols)`` of every channel matrix of ``config``, in draw order:
+    direct alpha links, cross links row-major, direct beta links, BS-to-BS."""
+    for n in config.n_alpha:
+        yield n, config.m_alpha
+    for na in config.n_alpha:
+        for nb in config.n_beta:
+            yield na, nb
+    for nb in config.n_beta:
+        yield config.m_beta, nb
+    yield config.m_beta, config.m_alpha
+
+
+def _draw_entries(config):
+    """Entries of one `ChannelSet` of ``config``."""
+    sum_a, sum_b = sum(config.n_alpha), sum(config.n_beta)
+    return sum_a * (config.m_alpha + sum_b) + config.m_beta * (sum_b + config.m_alpha)
+
+
 def _guard_channels(config):
     """Raise `ConfigError` when one `ChannelSet` of ``config`` would exceed
     the entry bound, each of its matrices charged as a separate array."""
-    sum_a, sum_b = sum(config.n_alpha), sum(config.n_beta)
-    _guard_entries(sum_a * (config.m_alpha + sum_b)
-                   + config.m_beta * (sum_b + config.m_alpha), "the channel draw",
+    _guard_entries(_draw_entries(config), "the channel draw",
                    arrays=config.num_alpha * (1 + config.num_beta) + config.num_beta + 1)
+
+
+def _draw(config, rng):
+    """Every channel entry of one draw, in draw order, as one read-only
+    complex array, from one `standard_normal` call.
+
+    Each matrix is drawn as its real block, then its imaginary block, into
+    the floats that will hold its own complex entries; those are then
+    interleaved in place as ``(re + 1j * im) * sqrt(1/2)``, in runs of
+    whole matrices of at most _RUN_ENTRIES entries (a larger matrix is a run
+    of its own).  So the values are those of one `complex_gaussian` call per
+    matrix, and the temporaries stay within a run.
+    """
+    sizes = np.array([rows * cols for rows, cols in _channel_shapes(config)])
+    ends = np.cumsum(sizes)
+    out = np.empty(int(ends[-1]), dtype=np.complex128)
+    floats = out.view(np.float64)
+    rng.generator().standard_normal(out=floats)
+    lo = 0
+    while lo < len(sizes):
+        start = int(ends[lo] - sizes[lo])
+        hi = max(lo + 1, int(np.searchsorted(ends, start + _RUN_ENTRIES, "right")))
+        stop = int(ends[hi - 1])
+        if hi == lo + 1:
+            re, im = floats[2 * start:start + stop], floats[start + stop:2 * stop]
+        else:
+            # matrix i starts at entry s_i: its entry j's real part sits at
+            # float j + s_i and its imaginary part sizes[i] floats further on
+            run = sizes[lo:hi]
+            at = np.arange(start, stop) + np.repeat(ends[lo:hi] - run, run)
+            re, im = floats[at], floats[at + np.repeat(run, run)]
+        z = 1j * im                      # (re + 1j * im) * sqrt(1/2), in place
+        z += re
+        np.multiply(z, np.sqrt(0.5), out=out[start:stop])
+        del z                            # before the next run's 1j * im
+        lo = hi
+    return _freeze(out)
 
 
 def sample_channels(config, rng):
@@ -273,17 +331,18 @@ def sample_channels(config, rng):
 
     Draw order is fixed (direct alpha links, cross links row-major, direct
     beta links, BS-to-BS link) so a given `RngStream` always yields a
-    bit-identical `ChannelSet`.
+    bit-identical `ChannelSet`.  All entries come from one `standard_normal`
+    call (`_draw`) and every matrix is a read-only view of that one array;
+    the values are bit-identical to one `complex_gaussian` call per matrix
+    in draw order.
     """
     _guard_channels(config)
-    g = rng.generator()
-    h_alpha = tuple(_freeze(complex_gaussian(g, n, config.m_alpha))
-                    for n in config.n_alpha)
-    g_cross = tuple(
-        tuple(_freeze(complex_gaussian(g, na, nb)) for nb in config.n_beta)
-        for na in config.n_alpha)
-    h_beta = tuple(_freeze(complex_gaussian(g, config.m_beta, nb))
-                   for nb in config.n_beta)
-    g_bs = _freeze(complex_gaussian(g, config.m_beta, config.m_alpha))
-    return ChannelSet(h_alpha, g_cross, h_beta, g_bs)
-
+    flat = _draw(config, rng)
+    starts = accumulate((rows * cols for rows, cols in _channel_shapes(config)),
+                        initial=0)
+    mats = (flat[a:a + rows * cols].reshape(rows, cols)
+            for (rows, cols), a in zip(_channel_shapes(config), starts))
+    h_alpha = tuple(next(mats) for _ in config.n_alpha)
+    g_cross = tuple(tuple(next(mats) for _ in config.n_beta) for _ in config.n_alpha)
+    h_beta = tuple(next(mats) for _ in config.n_beta)
+    return ChannelSet(h_alpha, g_cross, h_beta, next(mats))

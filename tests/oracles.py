@@ -15,7 +15,9 @@ here, since what they check lies around those steps:
 * the search reference shares the scalar deciders, since what it checks is
   the order and count of the allocations tried;
 * the stage-2 reference shares the guarded pseudo-inverse and the block
-  split, since what it checks is which blocks are stacked.
+  split, since what it checks is which blocks are stacked;
+* the channel reference shares `complex_gaussian`, since what it checks is
+  the draw order and the split of one draw into matrices.
 """
 
 import itertools
@@ -31,7 +33,8 @@ from ia_rtdd.evaluate import (SweepResult, _round_robin_streams, _single_cell_li
                               power_profile_for_snr, snr_to_power, sum_rate)
 from ia_rtdd.feasibility import (HallResult, SearchResult, check_necessary,
                                  check_sufficient)
-from ia_rtdd.model import DofAllocation, RngStream, sample_channels
+from ia_rtdd.model import (ChannelSet, DofAllocation, RngStream,
+                            complex_gaussian, sample_channels)
 
 
 def iter_subset_pairs(num_alpha, num_beta):
@@ -152,6 +155,23 @@ def per_block_alignment_matrix(channels, d_alpha, d_beta):
                 stack = [np.kron(np.eye(db), g[m:m + 1, db:]) for m in range(da)]
                 mat[r0:r0 + da * db, col_b[l]:col_b[l] + wb] = np.vstack(stack)
     return mat
+
+
+def per_matrix_channels(config, rng):
+    """One channel draw made one `complex_gaussian` call per matrix, in the
+    draw order of `sample_channels`, every matrix read-only."""
+    g = rng.generator()
+
+    def draw(rows, cols):
+        mat = complex_gaussian(g, rows, cols)
+        mat.setflags(write=False)
+        return mat
+
+    h_alpha = tuple(draw(n, config.m_alpha) for n in config.n_alpha)
+    g_cross = tuple(tuple(draw(na, nb) for nb in config.n_beta)
+                    for na in config.n_alpha)
+    h_beta = tuple(draw(config.m_beta, nb) for nb in config.n_beta)
+    return ChannelSet(h_alpha, g_cross, h_beta, draw(config.m_beta, config.m_alpha))
 
 
 def channel_scale(channels):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -216,6 +217,26 @@ class TestAlignmentMatrix:
         assert ia.numeric_rank(np.zeros((3, 4), dtype=complex)) == 0
         assert ia.numeric_rank(np.eye(3)[:, :2]) == 2
 
+    def test_rank_of_a_stack_is_the_rank_of_each_matrix(self):
+        # full, all-zero and rank-deficient matrices in one stack, each
+        # against its own largest singular value (the last is 1e-12 * I),
+        # stacks over two leading axes, and stacks of empty matrices
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((5, 6, 9)) + 1j * rng.standard_normal((5, 6, 9))
+        a[1] = 0
+        a[2, 3:] = a[2, :3] * 2
+        a[3, :, 1:] = 0
+        a[4] = np.eye(6, 9) * 1e-12
+        got = ia.numeric_rank(a)
+        assert got.shape == (5,)
+        assert got.tolist() == [ia.numeric_rank(m) for m in a] == [6, 0, 3, 1, 6]
+        assert ia.numeric_rank(a.reshape(5, 1, 6, 9)).tolist() == [[r] for r in got.tolist()]
+        assert ia.numeric_rank(a.conj().transpose(0, 2, 1)).tolist() == got.tolist()
+        for shape in ((3, 20, 0), (3, 0, 4), (2, 2, 0, 0)):
+            assert ia.numeric_rank(np.zeros(shape, dtype=complex)).tolist() == \
+                np.zeros(shape[:-2], dtype=int).tolist()
+        assert ia.numeric_rank(np.zeros((0, 4, 4))).shape == (0,)
+
     def test_no_free_variables_means_zero_columns(self):
         cfg = NetworkConfig(9, (2, 3), 9, (4,))
         ch = ia.sample_channels(cfg, RngStream(0, 0))
@@ -358,6 +379,44 @@ class TestSufficient:
         assert not report.verdict
         with pytest.raises(KeyError):
             report.condition("rank")
+
+    @pytest.mark.parametrize("block", ["default", "two draws", "one draw"])
+    @pytest.mark.parametrize("trials", [1, 2, 5, 7])
+    def test_ranks_match_per_draw_builds(self, trials, block, monkeypatch):
+        # the stacked rank test, in stacks of the default size, of two draws
+        # and of one, reports the rank of each draw built on its own, as
+        # Python ints
+        cases = [(SIM, "3,3,3,3;2,2,2"), (EX2, "2,2,4;1,3"),
+                 (NetworkConfig(11, (3, 7), 5, (8, 3)), "2,4;4,1")]
+        for i, (cfg, text) in enumerate(cases):
+            dof = DofAllocation.parse(text)
+            rows, cols = feasibility._alignment_offsets(cfg, dof)
+            per_draw = feasibility._draw_entries(cfg) + rows[-1] * cols[-1]
+            monkeypatch.setattr(feasibility, "BLOCK", {
+                "default": feasibility.BLOCK, "two draws": 2 * per_draw + 1,
+                "one draw": 1}[block])
+            rng = RngStream(trials, i)
+            ranks = ia.check_sufficient(cfg, dof, trials, rng).condition("rank") \
+                .witness["ranks"]
+            monkeypatch.undo()
+            assert all(type(r) is int for r in ranks)
+            assert ranks == [ia.numeric_rank(ia.build_alignment_matrix(
+                ia.sample_channels(cfg, rng.shifted(t)), dof)) for t in range(trials)]
+
+    def test_many_trials_run_in_bounded_memory(self):
+        # 20 000 draws go through in stacks of at most BLOCK entries: the
+        # peak stays at that of one stack (~9 MiB) where all draws at once
+        # would take ~28 MiB
+        cfg = NetworkConfig(2, (2,), 2, (2,))
+        tracemalloc.start()
+        try:
+            report = ia.check_sufficient(cfg, DofAllocation((1,), (1,)), 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        witness = report.condition("rank").witness
+        assert witness["trials"] == witness["full_rank_trials"] == 20_000
+        assert peak < 2 ** 24
 
     @pytest.mark.parametrize("seed", range(40))
     def test_sufficient_implies_necessary(self, seed):
@@ -535,6 +594,25 @@ class TestHallAndSpecialRealization:
             ia.construct_special_realization(EX4, 4, 2)
 
 
+# networks from a census of 3000 random ones where the converse bound sits
+# one stream above the certified maximum
+_CENSUS = [NetworkConfig(3, (3, 6), 12, (1, 7)), NetworkConfig(12, (2, 5), 3, (1, 5, 4)),
+           NetworkConfig(11, (3, 7), 5, (8, 3)), NetworkConfig(12, (6, 1), 3, (4, 4))]
+
+
+def _optimal_json(result):
+    return json.dumps([result["necessary"].to_dict(), result["sufficient"].to_dict(),
+                       result["optimal"], result["gap"]])
+
+
+def _two_searches_json(cfg, trials, rng):
+    """`search_optimal`'s output from one search per mode, as JSON."""
+    nec = ia.search_max_sum_dof(cfg, "necessary", trials, rng)
+    suf = ia.search_max_sum_dof(cfg, "sufficient", trials, rng)
+    return json.dumps([nec.to_dict(), suf.to_dict(), nec.d_sum == suf.d_sum,
+                       nec.d_sum - suf.d_sum])
+
+
 class TestSearch:
     def test_downlink_example_network_is_optimal_13(self):
         result = ia.search_optimal(EX1, rng=RngStream(42, 0))
@@ -556,14 +634,11 @@ class TestSearch:
         assert result["sufficient"].allocation == DofAllocation((2, 2, 4), (1, 3))
 
     @pytest.mark.parametrize("config, bound, rank, rows", [
-        (NetworkConfig(3, (3, 6), 12, (1, 7)), "1,2;1,5", 17, 18),
-        (NetworkConfig(12, (2, 5), 3, (1, 5, 4)), "2,3;0,2,1", 14, 15),
-        (NetworkConfig(11, (3, 7), 5, (8, 3)), "2,4;4,1", 28, 30),
-        (NetworkConfig(12, (6, 1), 3, (4, 4)), "4,1;1,2", 14, 15)])
+        (_CENSUS[0], "1,2;1,5", 17, 18), (_CENSUS[1], "2,3;0,2,1", 14, 15),
+        (_CENSUS[2], "2,4;4,1", 28, 30), (_CENSUS[3], "4,1;1,2", 14, 15)])
     def test_census_gaps(self, config, bound, rank, rows):
-        # networks from a census of 3000 random ones where the converse bound
-        # sits one stream above the certified maximum: the bound allocation's
-        # alignment matrix falls short of full row rank in every draw
+        # the bound allocation's alignment matrix falls short of full row
+        # rank in every draw
         result = ia.search_optimal(config)
         bound = DofAllocation.parse(bound)
         assert result["necessary"].allocation == bound
@@ -596,6 +671,20 @@ class TestSearch:
             for bad in (0, 2.5, "5"):
                 with pytest.raises(ConfigError, match="trials"):
                     ia.search_max_sum_dof(wide, "sufficient", trials=bad)
+        assert nec.call_count == suf.call_count == 0
+
+    def test_optimal_guards_come_before_the_search(self):
+        # search_optimal checks the budget first, then the trial count, both
+        # before any allocation is decided
+        big = NetworkConfig(2, (2,) * 11, 2, (2,) * 10)
+        wide = NetworkConfig(2, (1,) * 10, 2, (1,) * 10)
+        with mock.patch.object(feasibility, "check_necessary") as nec, \
+                mock.patch.object(feasibility, "check_sufficient") as suf:
+            with pytest.raises(BudgetError):
+                ia.search_optimal(big, trials=0)
+            for bad in (0, 2.5, "5"):
+                with pytest.raises(ConfigError, match="trials"):
+                    ia.search_optimal(wide, trials=bad)
         assert nec.call_count == suf.call_count == 0
 
     def test_mode_names(self):
@@ -757,6 +846,33 @@ class TestSearch:
         with mock.patch.object(feasibility, "BLOCK", 1):
             assert json.dumps(ia.search_max_sum_dof(
                 cfg, mode, trials, RngStream(seed, 0)).to_dict()) == want
+
+    @pytest.mark.parametrize("block_size", [feasibility.BLOCK, 1])
+    @pytest.mark.parametrize("name", ["EX1", "EX2", "dual_EX1", "EX4", "SIM",
+                                      "census0", "census1", "census2", "census3"])
+    def test_optimal_matches_two_searches(self, name, block_size, monkeypatch):
+        # the one walk returns what a search per mode returns, with blocks of
+        # the default size and of one allocation
+        cfg = {"EX1": EX1, "EX2": EX2, "dual_EX1": ia.dual_config(EX1), "EX4": EX4,
+               "SIM": SIM, **{f"census{i}": c for i, c in enumerate(_CENSUS)}}[name]
+        monkeypatch.setattr(feasibility, "BLOCK", block_size)
+        for seed in (0, 42):
+            assert _optimal_json(ia.search_optimal(cfg, rng=RngStream(seed, 0))) == \
+                _two_searches_json(cfg, 5, RngStream(seed, 0))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_optimal_matches_two_searches_generated(self, seed):
+        # generated networks of up to 3+3 users and 1-3 draws, with the
+        # default block size and with blocks of one allocation
+        rng = np.random.default_rng(seed)
+        cfg = random_small_config(rng, max_users=3, max_antennas=4)
+        trials = int(rng.integers(1, 4))
+        want = _two_searches_json(cfg, trials, RngStream(seed, 0))
+        assert _optimal_json(ia.search_optimal(cfg, trials, RngStream(seed, 0))) == want
+        with mock.patch.object(feasibility, "BLOCK", 1):
+            assert _optimal_json(ia.search_optimal(cfg, trials,
+                                                   RngStream(seed, 0))) == want
 
     @pytest.mark.parametrize("seed", range(20))
     def test_necessary_duality_invariance(self, seed):

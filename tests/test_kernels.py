@@ -284,8 +284,8 @@ def test_benchmark_tracer_reads_alignment_loop(spans):
 
 def test_benchmark_tracer_reads_feasibility(spans):
     # the dof_search workload's view: search_optimal and check_necessary
-    # through the package namespace, and the rank test's draw, build and rank
-    # looked up in the feasibility module
+    # through the package namespace, and the rank test's draws and stacked
+    # rank looked up in the feasibility module
     cfg = ia.NetworkConfig(4, (3, 3), 6, (2, 2))
     tracer = spans.Tracer()
     tracer.install(ia)
@@ -293,21 +293,28 @@ def test_benchmark_tracer_reads_feasibility(spans):
         tracer.op = 0
         result = ia.search_optimal(cfg, trials=1)
         ia.check_necessary(cfg, ia.DofAllocation((2, 2), (1, 1)))
+        walk = tracer.spans[:]
+        tracer.op = 1
+        single = ia.feasibility.search_max_sum_dof(cfg, "sufficient", 1)
         tracer.op = None
     finally:
         left = tracer.restore(ia)
     assert left == []
-    totals = spans.layer_totals(tracer.spans)
-    search = totals["feasibility.search_max_sum_dof"]
-    assert search["calls"] == 2
-    assert search["examined"] == (result["necessary"].examined
-                                  + result["sufficient"].examined)
-    draws = totals["model.sample_channels"]["calls"]
-    assert draws >= 1
-    for name in ("model.sample_channels", "feasibility.build_alignment_matrix",
-                 "feasibility.numeric_rank"):
-        assert spans.child_count(tracer.spans, "feasibility.check_sufficient",
-                                 name) == draws
+    # one walk serves both modes: no search_max_sum_dof span under it
+    totals = spans.layer_totals(walk)
+    assert totals["feasibility.search_optimal"]["calls"] == 1
+    assert "feasibility.search_max_sum_dof" not in totals
+    search = spans.layer_totals(tracer.spans)["feasibility.search_max_sum_dof"]
+    assert search["calls"] == 1
+    assert search["examined"] == single.examined == result["sufficient"].examined
+    # a drawing rank test of one trial draws once and ranks a stack of one,
+    # built without build_alignment_matrix
+    drawn = sum(1 for span in walk if span[0] == "feasibility.check_sufficient"
+                and not span[5]["structural"])
+    assert drawn >= 1
+    for name in ("model.sample_channels", "feasibility.numeric_rank"):
+        assert spans.child_count(walk, "feasibility.check_sufficient", name) == drawn
+    assert "feasibility.build_alignment_matrix" not in totals
     assert totals["kernels.subset_scan"]["calls"] == \
         totals["feasibility.check_necessary"]["calls"] >= 2
 

@@ -6,7 +6,17 @@ from hypothesis import strategies as st
 from ia_rtdd import (ConfigError, DofAllocation, NetworkConfig, RngStream,
                      sample_channels, validate_config)
 
+from oracles import per_matrix_channels
+from test_feasibility import _IRREGULAR_CASES
+
 SIM = NetworkConfig(12, (8, 8, 8, 8), 18, (4, 4, 4))
+EX1 = NetworkConfig(10, (4, 6, 6), 13, (3, 6))
+
+
+def _matrices(channels):
+    """Every matrix of a draw, in draw order."""
+    return (list(channels.h_alpha) + [g for row in channels.g_cross for g in row]
+            + list(channels.h_beta) + [channels.g_bs])
 
 
 class TestConfigTypes:
@@ -130,6 +140,24 @@ class TestSampling:
         ch = sample_channels(SIM, RngStream(1, 0))
         with pytest.raises(ValueError):
             ch.h_alpha[0][0, 0] = 0
+
+    @pytest.mark.parametrize("name", ["SIM", "EX1", "irregular", "512+512"])
+    def test_one_draw_matches_per_matrix_draws(self, name):
+        # one standard_normal call split into matrices: every matrix is
+        # byte-equal to its own complex_gaussian call in draw order, and
+        # read-only; runs of small matrices and 1x1 matrices included
+        configs = {"SIM": [SIM], "EX1": [EX1],
+                   "irregular": [cfg for cfg, _ in _IRREGULAR_CASES],
+                   "512+512": [NetworkConfig(1, (1,) * 512, 1, (1,) * 512)]}[name]
+        for i, cfg in enumerate(configs):
+            got = sample_channels(cfg, RngStream(i, 7))
+            want = per_matrix_channels(cfg, RngStream(i, 7))
+            assert [len(row) for row in got.g_cross] == [len(row) for row in want.g_cross]
+            assert len(_matrices(got)) == len(_matrices(want))
+            for a, b in zip(_matrices(got), _matrices(want)):
+                assert a.shape == b.shape and a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
 
 
 def test_rng_stream_reproducibility():
