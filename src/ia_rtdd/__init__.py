@@ -21,8 +21,7 @@ from .feasibility import (ConditionResult, FeasibilityReport, HallResult,
                           check_symmetric_sufficient,
                           construct_special_realization, dual_allocation,
                           dual_config, hall_condition, numeric_rank,
-                          search_max_sum_dof, search_optimal, single_cell_dof,
-                          two_user_ic_dof)
+                          search_max_sum_dof, search_optimal, single_cell_dof)
 from .model import (ChannelSet, DofAllocation, NetworkConfig, RngStream,
                     sample_channels, validate_config)
 

@@ -23,7 +23,9 @@ def fix_column_phases(mat):
 
     An entry is non-negligible when its magnitude exceeds ``_PHASE_TOL``
     times the column's largest; an all-zero column is returned unchanged.
-    ``mat`` may be a stack of matrices; each is treated on its own.
+    ``mat`` may be a stack of matrices; each is treated on its own.  The
+    alignment loop's eigenvectors reach this general path only when
+    `_unit_column_phases` cannot take its fast path.
     """
     mat = np.asarray(mat, dtype=np.complex128)
     mags = np.abs(mat)
@@ -159,7 +161,25 @@ def _shape_groups(n, d):
 
 def _gram(t):
     """``t @ t^H`` for a stack of matrices."""
-    return t @ np.ascontiguousarray(t.conj().swapaxes(-1, -2))
+    return t @ t.conj().swapaxes(-1, -2)
+
+
+def _unit_column_phases(vecs):
+    """`fix_column_phases` of a stack of unit-norm columns, as `eigh` returns.
+
+    No entry of a unit-norm column exceeds 1 (+ rounding), so its threshold
+    ``_PHASE_TOL * max|col|`` stays below ``2 * _PHASE_TOL``.  When every
+    first entry of the stack clears ``2 * _PHASE_TOL``, every column leads
+    with its first entry, and the general path's generic case is computed
+    as the same ufuncs on the same operands, bit for bit, without the
+    magnitudes of the whole stack.  Otherwise (a lead entry at or below
+    ``2 * _PHASE_TOL``, or NaN) the stack takes the general path.
+    """
+    pivot = vecs[..., :1, :]
+    pivot_mag = np.abs(pivot)
+    if pivot_mag.min() > 2 * _PHASE_TOL:
+        return vecs * (pivot.conj() / pivot_mag)
+    return fix_column_phases(vecs)
 
 
 def _weakest(members, group, blocks, weights, filters):
@@ -170,7 +190,10 @@ def _weakest(members, group, blocks, weights, filters):
     and ``filters`` are per other-side group.  (numpy's sum over the users'
     axis would not keep that order: with 1 x 1 covariances its result
     differs from the in-order fold from four users on.)  Returns the
-    eigenvalues and the ``d`` weakest eigenvectors, phase-fixed.
+    eigenvalues and the ``d`` weakest eigenvectors, phase-fixed by
+    `_unit_column_phases`: the eigenvectors have unit norm, so the phase
+    fix skips the magnitudes of the whole stack unless a lead entry is
+    within ``2 * _PHASE_TOL`` of zero.
     """
     (n, d), users = group
     cov = np.zeros((members, len(users), n, n), dtype=np.complex128)
@@ -179,7 +202,7 @@ def _weakest(members, group, blocks, weights, filters):
         for pos in range(term.shape[2]):
             cov += term[:, :, pos]
     vals, vecs = np.linalg.eigh(cov)
-    return vals, np.ascontiguousarray(fix_column_phases(vecs[..., :d]))
+    return vals, _unit_column_phases(vecs[..., :d])
 
 
 def alignment_loop(g_cross, n_alpha, n_beta, d_alpha, d_beta,

@@ -35,7 +35,7 @@ import numpy as np
 from . import _kernels
 from .errors import BudgetError, ConfigError, MatchingError
 from .model import (ChannelSet, DofAllocation, NetworkConfig, RngStream,
-                    _as_int, _draw_entries, _guard_channels, _guard_entries,
+                    _as_int, _draw_charge, _guard_channels, _guard_entries,
                     sample_channels, validate_config, validate_trials)
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
@@ -116,11 +116,6 @@ def check_necessary(config, dof):
         conditions.append(ConditionResult(cid, pair is None,
                                           pair and _subset_witness(pair)))
     return _make_report(conditions)
-
-
-def two_user_ic_dof(m1, n1, m2, n2):
-    """Optimal sum DoF of the two-user MIMO interference channel."""
-    return min(m1 + m2, n1 + n2, max(m1, n2), max(m2, n1))
 
 
 def single_cell_dof(config):
@@ -232,12 +227,12 @@ def check_sufficient(config, dof, trials=DEFAULT_RANK_TRIALS, rng=None):
     ``rng.shifted(t)``; ``rng`` itself is not consumed), builds the
     alignment coefficient matrix for each, and requires a strict majority to
     reach full row rank.  The draws are built and ranked as stacks, each of
-    as many draws as keep its channel and matrix entries within `BLOCK`
-    (at least one draw), with one batched SVD per stack.  A matrix with more
-    rows than columns is reported as structurally impossible without
-    sampling; a matrix with zero rows passes vacuously (no
-    cross-interference equations to solve).  Raises `ConfigError` unless
-    ``trials >= 1``.
+    as many draws as keep its matrix entries and its `ChannelSet`s (objects
+    included, `model._draw_charge`) within `BLOCK` entries (at least one
+    draw), with one batched SVD per stack.  A matrix with more rows than
+    columns is reported as structurally impossible without sampling; a
+    matrix with zero rows passes vacuously (no cross-interference equations
+    to solve).  Raises `ConfigError` unless ``trials >= 1``.
     """
     validate_config(config, dof)
     trials = validate_trials(trials)
@@ -254,11 +249,13 @@ def check_sufficient(config, dof, trials=DEFAULT_RANK_TRIALS, rng=None):
         # built on its own
         _guard_channels(config)
         _guard_entries(n_rows * n_cols, "the alignment matrix")
-        chunk = max(1, BLOCK // (_draw_entries(config) + n_rows * n_cols))
+        chunk = max(1, BLOCK // (_draw_charge(config) + n_rows * n_cols))
         for start in range(0, trials, chunk):
-            draws = [sample_channels(config, rng.shifted(t))
-                     for t in range(start, min(start + chunk, trials))]
-            ranks += numeric_rank(_alignment_stack(draws, dof, rows, cols)).tolist()
+            # the stack's draws are freed before the next stack's are drawn
+            ranks += numeric_rank(_alignment_stack(
+                [sample_channels(config, rng.shifted(t))
+                 for t in range(start, min(start + chunk, trials))],
+                dof, rows, cols)).tolist()
     full = sum(1 for r in ranks if r == n_rows)
     witness = {"rows": n_rows, "cols": n_cols, "ranks": ranks,
                "full_rank_trials": full, "trials": len(ranks)}

@@ -33,6 +33,11 @@ MAX_ARRAY_ENTRIES = 1 << 26
 # tracemalloc a draw of 512 + 512 one-antenna users holds 152 bytes per
 # 1 x 1 matrix (numpy 2.4, CPython 3.11), 136 of them beyond its one entry.
 _ARRAY_OVERHEAD_ENTRIES = 9
+# What one `ChannelSet` holds beyond its matrices' entries and overhead (the
+# set itself, its tuples, the array its matrices view), in 16-byte entries:
+# under tracemalloc a 1 + 1-user draw holds 1566 bytes, 46 entries beyond
+# its 16 entries and its four matrices' charge (numpy 2.4, CPython 3.11).
+_CHANNEL_SET_ENTRIES = 46
 # Entries of one run of whole channel matrices that `_draw` interleaves at
 # once, unless one matrix alone has more.
 _RUN_ENTRIES = 1 << 10
@@ -282,11 +287,22 @@ def _draw_entries(config):
     return sum_a * (config.m_alpha + sum_b) + config.m_beta * (sum_b + config.m_alpha)
 
 
+def _draw_arrays(config):
+    """Matrices of one `ChannelSet` of ``config``."""
+    return config.num_alpha * (1 + config.num_beta) + config.num_beta + 1
+
+
+def _draw_charge(config):
+    """What one `ChannelSet` of ``config`` holds, in entries: its matrices'
+    entries, each matrix's overhead and the set's own objects."""
+    return (_draw_entries(config) + _draw_arrays(config) * _ARRAY_OVERHEAD_ENTRIES
+            + _CHANNEL_SET_ENTRIES)
+
+
 def _guard_channels(config):
     """Raise `ConfigError` when one `ChannelSet` of ``config`` would exceed
     the entry bound, each of its matrices charged as a separate array."""
-    _guard_entries(_draw_entries(config), "the channel draw",
-                   arrays=config.num_alpha * (1 + config.num_beta) + config.num_beta + 1)
+    _guard_entries(_draw_entries(config), "the channel draw", arrays=_draw_arrays(config))
 
 
 def _draw(config, rng):

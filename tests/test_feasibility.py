@@ -42,11 +42,6 @@ def random_allocation(rng, config):
 
 
 class TestClosedForms:
-    def test_two_user_ic_dof(self):
-        assert ia.two_user_ic_dof(1, 1, 1, 1) == 1
-        assert ia.two_user_ic_dof(2, 2, 2, 2) == 2
-        assert ia.two_user_ic_dof(3, 2, 2, 3) == 2  # min(5, 5, 3, 2)
-
     def test_single_cell_dof(self):
         assert ia.single_cell_dof(EX1) == 10
         assert ia.single_cell_dof(EX4) == 12
@@ -391,7 +386,7 @@ class TestSufficient:
         for i, (cfg, text) in enumerate(cases):
             dof = DofAllocation.parse(text)
             rows, cols = feasibility._alignment_offsets(cfg, dof)
-            per_draw = feasibility._draw_entries(cfg) + rows[-1] * cols[-1]
+            per_draw = feasibility._draw_charge(cfg) + rows[-1] * cols[-1]
             monkeypatch.setattr(feasibility, "BLOCK", {
                 "default": feasibility.BLOCK, "two draws": 2 * per_draw + 1,
                 "one draw": 1}[block])
@@ -404,9 +399,9 @@ class TestSufficient:
                 ia.sample_channels(cfg, rng.shifted(t)), dof)) for t in range(trials)]
 
     def test_many_trials_run_in_bounded_memory(self):
-        # 20 000 draws go through in stacks of at most BLOCK entries: the
-        # peak stays at that of one stack (~9 MiB) where all draws at once
-        # would take ~28 MiB
+        # 20 000 draws go through in stacks of at most BLOCK entries, each
+        # draw's objects charged too: the peak stays at that of one stack
+        # (~2 MiB) where all draws at once would take ~28 MiB
         cfg = NetworkConfig(2, (2,), 2, (2,))
         tracemalloc.start()
         try:
@@ -417,6 +412,19 @@ class TestSufficient:
         witness = report.condition("rank").witness
         assert witness["trials"] == witness["full_rank_trials"] == 20_000
         assert peak < 2 ** 24
+
+    def test_rank_stacks_charge_each_draws_objects(self):
+        # a ChannelSet of a 1+1-user network holds ~1.5 KB for 16 entries:
+        # sized by entries alone, a stack would take 3640 such draws
+        # (~9 MiB); charged its objects, it stays near the 1 MiB budget
+        cfg = NetworkConfig(2, (2,), 2, (2,))
+        tracemalloc.start()
+        try:
+            ia.check_sufficient(cfg, DofAllocation((1,), (1,)), 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 22
 
     @pytest.mark.parametrize("seed", range(40))
     def test_sufficient_implies_necessary(self, seed):

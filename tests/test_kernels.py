@@ -231,6 +231,76 @@ class TestFixColumnPhases:
         assert _kernels.fix_column_phases(generic).tobytes() == \
             out[:, :1].tobytes()
 
+    # The alignment loop phase-fixes the d weakest eigenvectors of a
+    # (members, users, n, n) covariance stack with `_unit_column_phases`,
+    # whose fast path must give the general path's bytes.
+
+    @staticmethod
+    def _fast_path_taken(monkeypatch, vecs):
+        """Whether `_unit_column_phases` kept to its fast path on ``vecs``,
+        after checking its bytes against the general path's."""
+        general = _kernels.fix_column_phases
+        calls = []
+        monkeypatch.setattr(_kernels, "fix_column_phases",
+                            lambda mat: calls.append(mat) or general(mat))
+        assert _kernels._unit_column_phases(vecs).tobytes() == general(vecs).tobytes()
+        return not calls
+
+    @staticmethod
+    def _loop_covariances(rng, shape, rank):
+        # sums of ``rank`` rank-one terms, as the loop's covariances are:
+        # on SIM the 8 x 8 downlink ones have rank 6
+        x = rng.standard_normal(shape + (rank,)) + 1j * rng.standard_normal(shape + (rank,))
+        return x @ x.conj().swapaxes(-1, -2)
+
+    @staticmethod
+    def _with_lead(rng, n, lead):
+        # an n x n covariance whose weakest eigenvector has first entry of
+        # magnitude ``lead``
+        col = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        col[0] = 0.0
+        col *= np.sqrt(1 - lead ** 2) / np.linalg.norm(col)
+        col[0] = lead
+        q = np.linalg.qr(np.column_stack(
+            [col, rng.standard_normal((n, n - 1)) + 1j * rng.standard_normal((n, n - 1))]))[0]
+        return (q * np.arange(1.0, n + 1)) @ q.conj().T
+
+    def test_unit_columns_take_the_fast_path(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        for shape, rank, d in (((2, 4, 8), 6, 3), ((6, 3, 4), 4, 2), ((1, 2, 6), 2, 4)):
+            vecs = np.linalg.eigh(self._loop_covariances(rng, shape, rank))[1][..., :d]
+            assert self._fast_path_taken(monkeypatch, vecs)
+
+    def test_zero_covariance_falls_back(self, monkeypatch):
+        # eigh gives the identity: every column but the first leads with 0
+        vecs = np.linalg.eigh(np.zeros((2, 3, 4, 4), dtype=complex))[1][..., :2]
+        assert not np.abs(vecs[..., 0, 1]).any()
+        assert not self._fast_path_taken(monkeypatch, vecs)
+
+    def test_lead_below_twice_the_tolerance_falls_back(self, monkeypatch):
+        # a lead entry that the general path takes as the pivot (above
+        # _PHASE_TOL times its column's largest) but the fast test cannot
+        # tell from negligible (below 2 * _PHASE_TOL)
+        rng = np.random.default_rng(6)
+        vecs = np.linalg.eigh(self._with_lead(rng, 6, 1.5e-12))[1][None, None, :, :2]
+        lead = abs(vecs[0, 0, 0, 0])
+        assert _kernels._PHASE_TOL * np.abs(vecs[0, 0, :, 0]).max() < lead
+        assert lead < 2 * _kernels._PHASE_TOL
+        assert not self._fast_path_taken(monkeypatch, vecs)
+
+    def test_one_failing_column_sends_the_stack_to_the_general_path(self, monkeypatch):
+        # one user's weakest eigenvector leads with a negligible entry, so
+        # the general path pivots it on a later entry; every other column
+        # of the stack passes the fast test
+        rng = np.random.default_rng(7)
+        covs = self._loop_covariances(rng, (2, 3, 6), 4)
+        covs[1, 2] = self._with_lead(rng, 6, 1e-14)
+        vecs = np.linalg.eigh(covs)[1][..., :2]
+        failing = np.abs(vecs[..., 0, :]) <= 2 * _kernels._PHASE_TOL
+        assert failing.sum() == 1 and failing[1, 2, 0]
+        assert not np.isnan(vecs).any()
+        assert not self._fast_path_taken(monkeypatch, vecs)
+
 
 @pytest.fixture
 def spans(monkeypatch):
