@@ -34,9 +34,12 @@ import numpy as np
 
 from . import _kernels
 from .errors import BudgetError, ConfigError, MatchingError
+# sample_channels is not called here, but perfbench/spans.py traces it at
+# this lookup site, so the name stays
 from .model import (ChannelSet, DofAllocation, NetworkConfig, RngStream,
-                    _as_int, _draw_charge, _guard_channels, _guard_entries,
-                    sample_channels, validate_config, validate_trials)
+                    _as_int, _draw, _draw_entries, _freeze, _guard_channels,
+                    _guard_entries, _views, sample_channels, validate_config,
+                    validate_trials)
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
 # Entries of the widest array in one block of allocations of the search,
@@ -168,38 +171,41 @@ def build_alignment_matrix(channels, dof):
     ``G_kl[d_alpha_k:, :d_beta_l]`` (transposed, once per stream of user
     (alpha, k)) and the upper right ``G_kl[:d_alpha_k, d_beta_l:]`` (each
     row once per stream of user (beta, l)).  This is the one-draw case of
-    the stack `check_sufficient` builds.
+    the stack `check_sufficient` builds (`_alignment_stack`).
     """
     config, _ = validate_config(channels.config, dof)
     rows, cols = _alignment_offsets(config, dof)
     _guard_entries(rows[-1] * cols[-1], "the alignment matrix")
-    return _alignment_stack([channels], dof, rows, cols)[0]
+    return _alignment_stack(channels.g_cross, dof, rows, cols)
 
 
-def _alignment_stack(draws, dof, rows, cols):
-    """The alignment coefficient matrices of the `ChannelSet`s ``draws``,
-    stacked over a leading axis; ``rows, cols`` are `_alignment_offsets`.
+def _alignment_stack(g_cross, dof, rows, cols):
+    """The alignment coefficient matrices of the cross channels ``g_cross``
+    (a `ChannelSet` field, its matrices with any leading axes, such as the
+    draws of a stack), with those leading axes; ``rows, cols`` are
+    `_alignment_offsets`.
 
-    Each block is the product of an identity with the draws' channel blocks,
-    entry by entry the product `build_alignment_matrix` documents, so every
-    matrix of the stack is byte-equal to one built alone.
+    Each block is the product of an identity with the channel blocks, entry
+    by entry the product `build_alignment_matrix` documents, so every matrix
+    of a stack is byte-equal to one built alone.
     """
     num_alpha = len(dof.d_alpha)
-    mat = np.zeros((len(draws), rows[-1], cols[-1]), dtype=np.complex128)
+    lead = g_cross[0][0].shape[:-2]
+    mat = np.zeros(lead + (rows[-1], cols[-1]), dtype=np.complex128)
     for k, da in enumerate(dof.d_alpha):
         r0 = rows[k]
         for l, db in enumerate(dof.d_beta):
-            g = np.stack([channels.g_cross[k][l] for channels in draws])
-            block = mat[:, r0:r0 + da * db]
+            g = g_cross[k][l]
+            block = mat[..., r0:r0 + da * db, :]
             r0 += da * db
-            lower = g[:, da:, :db].transpose(0, 2, 1)
-            block[:, :, cols[k]:cols[k + 1]] = (
-                np.eye(da)[:, None, :, None] * lower[:, None, :, None, :]
-            ).reshape(len(draws), da * db, da * lower.shape[2])
-            upper = g[:, :da, db:]
-            block[:, :, cols[num_alpha + l]:cols[num_alpha + l + 1]] = (
-                np.eye(db)[:, :, None] * upper[:, :, None, None, :]
-            ).reshape(len(draws), da * db, db * upper.shape[2])
+            lower = g[..., da:, :db].swapaxes(-1, -2)
+            block[..., cols[k]:cols[k + 1]] = (
+                np.eye(da)[:, None, :, None] * lower[..., None, :, None, :]
+            ).reshape(lead + (da * db, da * lower.shape[-1]))
+            upper = g[..., :da, db:]
+            block[..., cols[num_alpha + l]:cols[num_alpha + l + 1]] = (
+                np.eye(db)[:, :, None] * upper[..., :, None, None, :]
+            ).reshape(lead + (da * db, db * upper.shape[-1]))
     return mat
 
 
@@ -227,12 +233,13 @@ def check_sufficient(config, dof, trials=DEFAULT_RANK_TRIALS, rng=None):
     ``rng.shifted(t)``; ``rng`` itself is not consumed), builds the
     alignment coefficient matrix for each, and requires a strict majority to
     reach full row rank.  The draws are built and ranked as stacks, each of
-    as many draws as keep its matrix entries and its `ChannelSet`s (objects
-    included, `model._draw_charge`) within `BLOCK` entries (at least one
-    draw), with one batched SVD per stack.  A matrix with more rows than
-    columns is reported as structurally impossible without sampling; a
-    matrix with zero rows passes vacuously (no cross-interference equations
-    to solve).  Raises `ConfigError` unless ``trials >= 1``.
+    as many draws as keep its draws' and its matrices' entries within
+    `BLOCK` (at least one draw).  A stack's draws are the rows of one array,
+    whose cross channels (`model._views`) give the stack's matrices, ranked
+    by one batched SVD.  A matrix with more rows than columns is reported as
+    structurally impossible without sampling; a matrix with zero rows passes
+    vacuously (no cross-interference equations to solve).  Raises
+    `ConfigError` unless ``trials >= 1``.
     """
     validate_config(config, dof)
     trials = validate_trials(trials)
@@ -249,13 +256,16 @@ def check_sufficient(config, dof, trials=DEFAULT_RANK_TRIALS, rng=None):
         # built on its own
         _guard_channels(config)
         _guard_entries(n_rows * n_cols, "the alignment matrix")
-        chunk = max(1, BLOCK // (_draw_charge(config) + n_rows * n_cols))
+        entries = _draw_entries(config)
+        chunk = max(1, BLOCK // (entries + n_rows * n_cols))
+        # one array holds the draws of every stack in turn
+        flat = np.empty((min(chunk, trials), entries), dtype=np.complex128)
         for start in range(0, trials, chunk):
-            # the stack's draws are freed before the next stack's are drawn
+            stack = flat[:trials - start]
+            for i in range(len(stack)):
+                stack[i] = _draw(config, rng.shifted(start + i))
             ranks += numeric_rank(_alignment_stack(
-                [sample_channels(config, rng.shifted(t))
-                 for t in range(start, min(start + chunk, trials))],
-                dof, rows, cols)).tolist()
+                _views(config, stack)[1], dof, rows, cols)).tolist()
     full = sum(1 for r in ranks if r == n_rows)
     witness = {"rows": n_rows, "cols": n_cols, "ranks": ranks,
                "full_rank_trials": full, "trials": len(ranks)}
@@ -400,7 +410,8 @@ def construct_special_realization(config, d_alpha, d_beta):
     Every cross link zeroes its corner blocks; the single spare block matched
     to the link by `hall_condition` is set to an identity and every other
     spare block to zero.  Direct and BS-to-BS channels are returned as zeros
-    (only the cross links matter here).
+    (only the cross links matter here).  Every matrix is a read-only view of
+    one zero array in `sample_channels`' layout (`model._views`).
 
     Postconditions verified before returning, on the alignment matrix at the
     symmetric allocation: with the trivial filters [I; 0] the corner blocks,
@@ -415,35 +426,18 @@ def construct_special_realization(config, d_alpha, d_beta):
     if not result.passed:
         raise MatchingError(
             "no complete matching of cross links to spare variable blocks")
-    cross = []
-    for k, na in enumerate(config.n_alpha):
-        row = []
-        for l, nb in enumerate(config.n_beta):
-            g = np.zeros((na, nb), dtype=np.complex128)
-            side, user, idx = result.matching[(k, l)]
-            if side == "alpha":
-                r0 = d_alpha + idx * d_beta
-                g[r0:r0 + d_beta, :d_beta] = np.eye(d_beta)
-            else:
-                c0 = d_beta + idx * d_alpha
-                g[:d_alpha, c0:c0 + d_alpha] = np.eye(d_alpha)
-            g.setflags(write=False)
-            row.append(g)
-        cross.append(tuple(row))
-
-    def zeros(r, c):
-        z = np.zeros((r, c), dtype=np.complex128)
-        z.setflags(write=False)
-        return z
-
-    channels = ChannelSet(
-        h_alpha=tuple(zeros(n, config.m_alpha) for n in config.n_alpha),
-        g_cross=tuple(cross),
-        h_beta=tuple(zeros(config.m_beta, n) for n in config.n_beta),
-        g_bs=zeros(config.m_beta, config.m_alpha),
-    )
+    flat = np.zeros(_draw_entries(config), dtype=np.complex128)
+    cross = _views(config, flat)[1]
+    for (k, l), (side, _, idx) in result.matching.items():
+        if side == "alpha":
+            r0 = d_alpha + idx * d_beta
+            cross[k][l][r0:r0 + d_beta, :d_beta] = np.eye(d_beta)
+        else:
+            c0 = d_beta + idx * d_alpha
+            cross[k][l][:d_alpha, c0:c0 + d_alpha] = np.eye(d_alpha)
+    channels = ChannelSet(*_views(config, _freeze(flat)))
     nonzero = build_alignment_matrix(channels, dof) != 0
-    if (any(np.any(g[:d_alpha, :d_beta]) for row in cross for g in row)
+    if (any(np.any(g[:d_alpha, :d_beta]) for row in channels.g_cross for g in row)
             or np.any(nonzero.sum(axis=1) != 1) or np.any(nonzero.sum(axis=0) > 1)):
         raise MatchingError("special realization is not a block permutation")
     return channels

@@ -33,11 +33,6 @@ MAX_ARRAY_ENTRIES = 1 << 26
 # tracemalloc a draw of 512 + 512 one-antenna users holds 152 bytes per
 # 1 x 1 matrix (numpy 2.4, CPython 3.11), 136 of them beyond its one entry.
 _ARRAY_OVERHEAD_ENTRIES = 9
-# What one `ChannelSet` holds beyond its matrices' entries and overhead (the
-# set itself, its tuples, the array its matrices view), in 16-byte entries:
-# under tracemalloc a 1 + 1-user draw holds 1566 bytes, 46 entries beyond
-# its 16 entries and its four matrices' charge (numpy 2.4, CPython 3.11).
-_CHANNEL_SET_ENTRIES = 46
 # Entries of one run of whole channel matrices that `_draw` interleaves at
 # once, unless one matrix alone has more.
 _RUN_ENTRIES = 1 << 10
@@ -292,13 +287,6 @@ def _draw_arrays(config):
     return config.num_alpha * (1 + config.num_beta) + config.num_beta + 1
 
 
-def _draw_charge(config):
-    """What one `ChannelSet` of ``config`` holds, in entries: its matrices'
-    entries, each matrix's overhead and the set's own objects."""
-    return (_draw_entries(config) + _draw_arrays(config) * _ARRAY_OVERHEAD_ENTRIES
-            + _CHANNEL_SET_ENTRIES)
-
-
 def _guard_channels(config):
     """Raise `ConfigError` when one `ChannelSet` of ``config`` would exceed
     the entry bound, each of its matrices charged as a separate array."""
@@ -342,23 +330,31 @@ def _draw(config, rng):
     return _freeze(out)
 
 
+def _views(config, flat):
+    """The four `ChannelSet` fields ``(h_alpha, g_cross, h_beta, g_bs)`` of
+    the draws whose entries lie in draw order on the last axis of ``flat``
+    (`_draw`'s layout), as reshaped views of ``flat`` that keep its leading
+    axes."""
+    lead = flat.shape[:-1]
+    starts = accumulate((rows * cols for rows, cols in _channel_shapes(config)),
+                        initial=0)
+    mats = (flat[..., a:a + rows * cols].reshape(lead + (rows, cols))
+            for (rows, cols), a in zip(_channel_shapes(config), starts))
+    h_alpha = tuple(next(mats) for _ in config.n_alpha)
+    g_cross = tuple(tuple(next(mats) for _ in config.n_beta) for _ in config.n_alpha)
+    h_beta = tuple(next(mats) for _ in config.n_beta)
+    return h_alpha, g_cross, h_beta, next(mats)
+
+
 def sample_channels(config, rng):
     """Draw one i.i.d. CN(0,1) realization of every channel matrix.
 
     Draw order is fixed (direct alpha links, cross links row-major, direct
     beta links, BS-to-BS link) so a given `RngStream` always yields a
     bit-identical `ChannelSet`.  All entries come from one `standard_normal`
-    call (`_draw`) and every matrix is a read-only view of that one array;
-    the values are bit-identical to one `complex_gaussian` call per matrix
-    in draw order.
+    call (`_draw`) and every matrix is a read-only view of that one array
+    (`_views`); the values are bit-identical to one `complex_gaussian` call
+    per matrix in draw order.
     """
     _guard_channels(config)
-    flat = _draw(config, rng)
-    starts = accumulate((rows * cols for rows, cols in _channel_shapes(config)),
-                        initial=0)
-    mats = (flat[a:a + rows * cols].reshape(rows, cols)
-            for (rows, cols), a in zip(_channel_shapes(config), starts))
-    h_alpha = tuple(next(mats) for _ in config.n_alpha)
-    g_cross = tuple(tuple(next(mats) for _ in config.n_beta) for _ in config.n_alpha)
-    h_beta = tuple(next(mats) for _ in config.n_beta)
-    return ChannelSet(h_alpha, g_cross, h_beta, next(mats))
+    return ChannelSet(*_views(config, _draw(config, rng)))

@@ -386,7 +386,7 @@ class TestSufficient:
         for i, (cfg, text) in enumerate(cases):
             dof = DofAllocation.parse(text)
             rows, cols = feasibility._alignment_offsets(cfg, dof)
-            per_draw = feasibility._draw_charge(cfg) + rows[-1] * cols[-1]
+            per_draw = ia.model._draw_entries(cfg) + rows[-1] * cols[-1]
             monkeypatch.setattr(feasibility, "BLOCK", {
                 "default": feasibility.BLOCK, "two draws": 2 * per_draw + 1,
                 "one draw": 1}[block])
@@ -398,10 +398,42 @@ class TestSufficient:
             assert ranks == [ia.numeric_rank(ia.build_alignment_matrix(
                 ia.sample_channels(cfg, rng.shifted(t)), dof)) for t in range(trials)]
 
+    @pytest.mark.parametrize("block", ["default", "two draws", "one draw"])
+    def test_stacked_matrices_match_per_draw_builds(self, block, monkeypatch):
+        # every matrix the stacked rank test ranks is byte-equal to the one
+        # build_alignment_matrix makes of its draw alone, in draw order, in
+        # stacks of the default size, of two draws and of one; EX2 at
+        # 1,2,5;1,3 reaches rank 30 of 32, so not only full-rank stacks count
+        cases = [(SIM, "3,3,3,3;2,2,2"), (EX2, "2,2,4;1,3"), (EX2, "1,2,5;1,3")]
+        rank = feasibility.numeric_rank
+        for i, (cfg, text) in enumerate(cases):
+            dof = DofAllocation.parse(text)
+            rows, cols = feasibility._alignment_offsets(cfg, dof)
+            per_draw = ia.model._draw_entries(cfg) + rows[-1] * cols[-1]
+            stacks = []
+            monkeypatch.setattr(feasibility, "numeric_rank",
+                                lambda a: stacks.append(a.copy()) or rank(a))
+            monkeypatch.setattr(feasibility, "BLOCK", {
+                "default": feasibility.BLOCK, "two draws": 2 * per_draw + 1,
+                "one draw": 1}[block])
+            rng = RngStream(11, i)
+            ranks = ia.check_sufficient(cfg, dof, 5, rng).condition("rank") \
+                .witness["ranks"]
+            monkeypatch.undo()
+            assert [len(stack) for stack in stacks] == {
+                "default": [5], "two draws": [2, 2, 1], "one draw": [1] * 5}[block]
+            built = [ia.build_alignment_matrix(ia.sample_channels(cfg, rng.shifted(t)),
+                                               dof) for t in range(5)]
+            assert [m.tobytes() for stack in stacks for m in stack] == \
+                [m.tobytes() for m in built]
+            assert ranks == [rank(m) for m in built]
+        assert ranks == [30] * 5
+
     def test_many_trials_run_in_bounded_memory(self):
-        # 20 000 draws go through in stacks of at most BLOCK entries, each
-        # draw's objects charged too: the peak stays at that of one stack
-        # (~2 MiB) where all draws at once would take ~28 MiB
+        # 20 000 draws go through in stacks of at most BLOCK entries, a
+        # stack's draws the rows of one array: the peak stays at that of one
+        # stack (~1.9 MiB), a small multiple of the 1 MiB budget, where all
+        # draws at once would take ~28 MiB
         cfg = NetworkConfig(2, (2,), 2, (2,))
         tracemalloc.start()
         try:
@@ -411,12 +443,13 @@ class TestSufficient:
             tracemalloc.stop()
         witness = report.condition("rank").witness
         assert witness["trials"] == witness["full_rank_trials"] == 20_000
-        assert peak < 2 ** 24
+        assert peak < 2 ** 22
 
     def test_rank_stacks_charge_each_draws_objects(self):
-        # a ChannelSet of a 1+1-user network holds ~1.5 KB for 16 entries:
-        # sized by entries alone, a stack would take 3640 such draws
-        # (~9 MiB); charged its objects, it stays near the 1 MiB budget
+        # a ChannelSet of a 1+1-user network holds ~1.5 KB for 16 entries;
+        # a stack's draws are the rows of one array, with no objects per
+        # draw, so a stack sized by entries alone (3855 draws here) stays
+        # near the 1 MiB budget
         cfg = NetworkConfig(2, (2,), 2, (2,))
         tracemalloc.start()
         try:

@@ -354,8 +354,8 @@ def test_benchmark_tracer_reads_alignment_loop(spans):
 
 def test_benchmark_tracer_reads_feasibility(spans):
     # the dof_search workload's view: search_optimal and check_necessary
-    # through the package namespace, and the rank test's draws and stacked
-    # rank looked up in the feasibility module
+    # through the package namespace, and the rank test's stacked rank looked
+    # up in the feasibility module
     cfg = ia.NetworkConfig(4, (3, 3), 6, (2, 2))
     tracer = spans.Tracer()
     tracer.install(ia)
@@ -377,14 +377,15 @@ def test_benchmark_tracer_reads_feasibility(spans):
     search = spans.layer_totals(tracer.spans)["feasibility.search_max_sum_dof"]
     assert search["calls"] == 1
     assert search["examined"] == single.examined == result["sufficient"].examined
-    # a drawing rank test of one trial draws once and ranks a stack of one,
-    # built without build_alignment_matrix
+    # a drawing rank test of one trial ranks a stack of one, drawn into one
+    # array without sample_channels and built without build_alignment_matrix
     drawn = sum(1 for span in walk if span[0] == "feasibility.check_sufficient"
                 and not span[5]["structural"])
     assert drawn >= 1
-    for name in ("model.sample_channels", "feasibility.numeric_rank"):
-        assert spans.child_count(walk, "feasibility.check_sufficient", name) == drawn
-    assert "feasibility.build_alignment_matrix" not in totals
+    assert spans.child_count(walk, "feasibility.check_sufficient",
+                             "feasibility.numeric_rank") == drawn
+    for name in ("model.sample_channels", "feasibility.build_alignment_matrix"):
+        assert name not in totals
     assert totals["kernels.subset_scan"]["calls"] == \
         totals["feasibility.check_necessary"]["calls"] >= 2
 

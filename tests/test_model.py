@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ia_rtdd import (ConfigError, DofAllocation, NetworkConfig, RngStream,
-                     sample_channels, validate_config)
+from ia_rtdd import (ChannelSet, ConfigError, DofAllocation, NetworkConfig,
+                     RngStream, sample_channels, validate_config)
+from ia_rtdd.model import _draw, _freeze, _views
 
 from oracles import per_matrix_channels
 from test_feasibility import _IRREGULAR_CASES
@@ -141,20 +142,35 @@ class TestSampling:
         with pytest.raises(ValueError):
             ch.h_alpha[0][0, 0] = 0
 
-    @pytest.mark.parametrize("name", ["SIM", "EX1", "irregular", "512+512"])
+    @pytest.mark.parametrize("name", ["SIM", "EX1", "irregular", "512+512",
+                                      "stacked"])
     def test_one_draw_matches_per_matrix_draws(self, name):
         # one standard_normal call split into matrices: every matrix is
         # byte-equal to its own complex_gaussian call in draw order, and
-        # read-only; runs of small matrices and 1x1 matrices included
+        # read-only; runs of small matrices and 1x1 matrices included.
+        # "stacked": the views of a frozen stack of three draws keep its
+        # leading axis, draw t's matrices byte-equal to sample_channels'
         configs = {"SIM": [SIM], "EX1": [EX1],
                    "irregular": [cfg for cfg, _ in _IRREGULAR_CASES],
-                   "512+512": [NetworkConfig(1, (1,) * 512, 1, (1,) * 512)]}[name]
+                   "512+512": [NetworkConfig(1, (1,) * 512, 1, (1,) * 512)],
+                   "stacked": [SIM, EX1] + [cfg for cfg, _ in _IRREGULAR_CASES]}[name]
         for i, cfg in enumerate(configs):
-            got = sample_channels(cfg, RngStream(i, 7))
-            want = per_matrix_channels(cfg, RngStream(i, 7))
-            assert [len(row) for row in got.g_cross] == [len(row) for row in want.g_cross]
-            assert len(_matrices(got)) == len(_matrices(want))
-            for a, b in zip(_matrices(got), _matrices(want)):
+            if name == "stacked":
+                rng = RngStream(i, 7)
+                flat = _freeze(np.stack([_draw(cfg, rng.shifted(t)) for t in range(3)]))
+                views = _matrices(ChannelSet(*_views(cfg, flat)))
+                assert all(np.shares_memory(v, flat) for v in views)
+                want = [_matrices(sample_channels(cfg, rng.shifted(t))) for t in range(3)]
+                assert all(len(w) == len(views) for w in want)
+                pairs = [(v[t], m) for t in range(3) for v, m in zip(views, want[t])]
+            else:
+                got = sample_channels(cfg, RngStream(i, 7))
+                want = per_matrix_channels(cfg, RngStream(i, 7))
+                assert [len(row) for row in got.g_cross] == \
+                    [len(row) for row in want.g_cross]
+                assert len(_matrices(got)) == len(_matrices(want))
+                pairs = zip(_matrices(got), _matrices(want))
+            for a, b in pairs:
                 assert a.shape == b.shape and a.dtype == b.dtype
                 assert a.tobytes() == b.tobytes()
                 assert not a.flags.writeable
