@@ -17,14 +17,16 @@ Three deciders are provided:
   holds this test is exact, which the report flags.
 
 `search_max_sum_dof` scans allocations in descending sum order and returns
-the best one passing the selected decider.  Both modes run one O(users)
-pre-check per allocation, as arrays over a block: the stream budgets 8a-8c
-and the counting bound over all users (alignment equations <= variables,
-which is 8e at the pair of full user sets).  The survivors then go in order
-through the mode's decider, `check_necessary` or `check_sufficient`, and
-the first pass wins.  `search_optimal` walks the survivors once for both
-modes.  User indices in witnesses are 1-based to match the (alpha, k) /
-(beta, l) labeling used everywhere else.
+the best one passing the selected decider.  Both modes share one O(users)
+pre-check: the stream budgets 8a-8c and the counting bound over all users
+(alignment equations <= variables, which is 8e at the pair of full user
+sets).  Its terms split by cell, so per-cell tables over the stream sums
+skip every sum with no survivor, and only the allocations that pass are
+built.  The survivors then go in order through the mode's decider,
+`check_necessary` or `check_sufficient`, and the first pass wins.
+`search_optimal` walks the survivors once for both modes.  User indices in
+witnesses are 1-based to match the (alpha, k) / (beta, l) labeling used
+everywhere else.
 """
 
 from dataclasses import dataclass, replace
@@ -463,29 +465,33 @@ class SearchResult:
                 "report": self.report.to_dict()}
 
 
-def _allocation_blocks(config, total, rows):
-    """All allocations with the given sum, lexicographically ascending, as
-    int64 arrays of at most ``rows`` rows (downlink users first).
+def _cell_tables(caps, budget):
+    """For each stream sum S = 0..min(budget, sum(caps)) of one cell's parts
+    (0 <= d_i <= caps[i]), the number of parts and their largest sum of
+    d(N - d), as int64 arrays.  The largest is greedy: from d to d + 1,
+    d(N - d) gains N - 2d - 1, less for each larger d."""
+    size = min(budget, sum(caps)) + 1
+    count = np.ones(1, dtype=np.int64)
+    for n in caps:
+        count = np.convolve(count, np.ones(n + 1, dtype=np.int64))[:size]
+    gains = np.sort(np.concatenate([np.arange(1 - n, n, 2) for n in caps]))[::-1]
+    return count, np.concatenate(([0], np.cumsum(gains[:size - 1])))
 
-    Entries violating the per-user or per-cell stream budgets are pruned;
-    they can pass neither decider.  Column i is filled by expanding each
-    prefix row into its admissible values in ascending order, depth-first
-    in slices of ``rows``, so the order is lexicographic.
-    """
-    caps = config.n_alpha + config.n_beta
-    num_a, users = config.num_alpha, len(caps)
+
+def _part_blocks(caps, low, high, rows):
+    """The parts of one cell (0 <= d_i <= caps[i]) with their sum in
+    [low, high], lexicographically ascending, as int64 arrays of at most
+    ``rows`` rows: column i expands each prefix row into its admissible
+    values in ascending order, depth-first in slices of ``rows``."""
     after = tuple(accumulate(reversed(caps[1:]), initial=0))[::-1]
 
     def expand(block, i):
-        if i == users:
+        if i == len(caps):
             yield block
             return
-        cell = slice(0, num_a) if i < num_a else slice(num_a, users)
-        budget = config.m_alpha if i < num_a else config.m_beta
-        remaining = total - block.sum(axis=1)
-        hi = np.minimum(np.minimum(caps[i], remaining),
-                        budget - block[:, cell].sum(axis=1))
-        lo = np.maximum(0, remaining - after[i])
+        used = block.sum(axis=1)
+        hi = np.minimum(caps[i], high - used)
+        lo = np.maximum(0, low - used - after[i])
         counts = np.maximum(hi - lo + 1, 0)
         ends = np.cumsum(counts)
         for start in range(0, int(ends[-1]), rows):
@@ -495,22 +501,20 @@ def _allocation_blocks(config, total, rows):
             child[:, i] = lo[src] + flat - (ends[src] - counts[src])
             yield from expand(child, i + 1)
 
-    yield from expand(np.zeros((1, users), dtype=np.int64), 0)
+    yield from expand(np.zeros((1, len(caps)), dtype=np.int64), 0)
 
 
-def _precheck(config, block):
-    """Which allocations of a block (rows as from `_allocation_blocks`) pass
-    the O(users) pre-check: the stream budgets 8a-8c and the counting bound
-    over all users, alignment equations <= variables (8e at the pair of full
-    user sets).  A row failing it fails both deciders; these are the rows
-    `check_sufficient` fails without a draw.
-    """
-    num_a = config.num_alpha
-    sum_a, sum_b = block[:, :num_a].sum(axis=1), block[:, num_a:].sum(axis=1)
-    free = block * (np.array(config.n_alpha + config.n_beta) - block)
-    return ((sum_a <= config.m_alpha) & (sum_b <= config.m_beta)
-            & (sum_a + sum_b <= max(config.m_alpha, config.m_beta))
-            & (sum_a * sum_b <= free.sum(axis=1)))
+def _rank_tables(caps, weight):
+    """Tables placing a part ``d`` of one cell among all its parts, part
+    ``e`` weighing ``weight[sum(e)]``: the weight of the parts before ``d``
+    (lexicographically) is ``sum_i tables[i, p_i + d_i] - tables[i, p_i]``,
+    ``p_i`` the sum of ``d``'s first i counts.  Entry q of row i is the
+    weight of the parts whose first i + 1 counts sum to less than q."""
+    size, level, rows = len(weight), weight, []
+    for n in reversed(caps):
+        rows.append(np.concatenate(([0], np.cumsum(level))))
+        level = rows[-1][np.minimum(np.arange(size) + n + 1, size)] - rows[-1][:-1]
+    return np.array(rows[::-1])
 
 
 def _check_budget(config):
@@ -525,22 +529,48 @@ def _check_budget(config):
 
 
 def _survivors(config):
-    """The allocations passing `_precheck`, in search order (descending sum,
-    lexicographic ascending within a sum), as ``(total, examined, dof)``;
-    ``examined`` is the allocation's 1-based position among all allocations
-    enumerated.  The all-zero allocation comes last."""
-    rows = max(1, BLOCK // (config.num_alpha + config.num_beta))
-    cap = min(max(config.m_alpha, config.m_beta),
-              min(config.m_alpha, sum(config.n_alpha))
-              + min(config.m_beta, sum(config.n_beta)))
-    num_a = config.num_alpha
+    """The allocations passing the pre-check, in search order (descending
+    sum, lexicographic ascending within a sum), as ``(total, examined,
+    dof)``; ``examined`` is the 1-based position among all allocations
+    within the stream budgets 8a-8c, the only ones enumerated.  The
+    pre-check adds the counting bound over all users, S_a S_b <= V_a + V_b
+    with V = sum d(N - d) (8e at the pair of full user sets): an allocation
+    failing it fails both deciders, `check_sufficient` without a draw.  A
+    total T with no downlink sum S where top_a[S] + top_b[T - S] >= S (T - S)
+    (`_cell_tables`) is skipped.  Otherwise the downlink parts of the sums
+    that pair are enumerated and placed (`_rank_tables`), and only a part
+    with V_a + top_b[S_b] >= S_a S_b has its uplink parts of sum S_b
+    enumerated; those with V_b >= S_a S_b - V_a survive."""
+    cells = ((config.n_alpha, config.m_alpha), (config.n_beta, config.m_beta))
+    (count_a, top_a), (count_b, top_b) = (_cell_tables(*cell) for cell in cells)
+    rows_a, rows_b = (max(1, BLOCK // len(caps)) for caps, _ in cells)
+    n_a, n_b = np.array(config.n_alpha), np.array(config.n_beta)
+    users = np.arange(config.num_alpha)
+    cap = min(max(config.m_alpha, config.m_beta), len(count_a) + len(count_b) - 2)
     examined = 0
     for total in range(cap, -1, -1):
-        for block in _allocation_blocks(config, total, rows):
-            for i in np.flatnonzero(_precheck(config, block)).tolist():
-                yield total, examined + i + 1, DofAllocation(
-                    tuple(block[i, :num_a].tolist()), tuple(block[i, num_a:].tolist()))
-            examined += len(block)
+        s_a = np.arange(max(0, total - len(count_b) + 1), min(total + 1, len(count_a)))
+        s_b = total - s_a
+        pairs = s_a[top_a[s_a] + top_b[s_b] >= s_a * s_b]
+        if len(pairs):
+            weight = np.zeros(len(count_a), dtype=np.int64)
+            weight[s_a] = count_b[s_b]
+            tables = _rank_tables(config.n_alpha, weight)
+            for part in _part_blocks(config.n_alpha, pairs[0], pairs[-1], rows_a):
+                sum_a = part.sum(axis=1)
+                need = sum_a * (total - sum_a) - (part * (n_a - part)).sum(axis=1)
+                prefix = np.cumsum(part, axis=1)
+                before = examined + (tables[users, prefix]
+                                     - tables[users, prefix - part]).sum(axis=1)
+                for i in np.flatnonzero(top_b[total - sum_a] >= need).tolist():
+                    at, sum_b = int(before[i]), total - int(sum_a[i])
+                    for up in _part_blocks(config.n_beta, sum_b, sum_b, rows_b):
+                        keep = (up * (n_b - up)).sum(axis=1) >= need[i]
+                        for j in np.flatnonzero(keep).tolist():
+                            yield total, at + j + 1, DofAllocation(
+                                tuple(part[i].tolist()), tuple(up[j].tolist()))
+                        at += len(up)
+        examined += int(count_a[s_a] @ count_b[s_b])
 
 
 def _search(config, modes, trials, rng):
@@ -570,11 +600,12 @@ def search_max_sum_dof(config, mode="necessary", trials=DEFAULT_RANK_TRIALS,
     """Maximum sum DoF over allocations passing the selected decider.
 
     Allocations are tried in descending sum, lexicographic ascending within a
-    sum, and the first pass wins.  Each block of allocations is pre-checked
-    as arrays (`_precheck`); the survivors then go in order through the
-    mode's decider, whose report is returned for the winner.  ``examined`` is
-    the winner's 1-based position among all allocations enumerated.  The
-    all-zero allocation passes both deciders, so the search always returns.
+    sum, and the first pass wins.  Only the allocations passing the
+    pre-check are built (`_survivors`); they go in order through the mode's
+    decider, whose report is returned for the winner.  ``examined`` is the
+    winner's 1-based position among all allocations within the stream
+    budgets, those the pre-check skips included.  The all-zero allocation
+    passes both deciders, so the search always returns.
     Raises `BudgetError` when the raw allocation space prod(N + 1) exceeds
     `DEFAULT_SEARCH_BUDGET`, before checking ``trials`` (sufficient mode).
     """
@@ -590,7 +621,7 @@ def search_optimal(config, trials=DEFAULT_RANK_TRIALS, rng=None):
     """Search both modes in one walk and flag optimality when their maxima
     agree.
 
-    The allocations are enumerated and pre-checked once; each survivor goes
+    The pre-check survivors are found once (`_survivors`); each goes
     to `check_necessary` and `check_sufficient` until each has passed one,
     so both results equal those of `search_max_sum_dof` in either mode.
     Returns a dict with the two `SearchResult`s, the certified flag, and the

@@ -21,8 +21,8 @@ from .errors import ConfigError
 
 # Bound on a cell's antenna total (M, or the sum of its N).  Below it every
 # stream sum, product of the two cells' sums and sum of d(N - d) in the
-# search's int64 arrays (`feasibility._allocation_blocks`, `_precheck`) stays
-# under 2^62, so they cannot wrap.
+# search's int64 tables and arrays (`feasibility._cell_tables`, `_survivors`)
+# stays under 2^62, so they cannot wrap.
 MAX_CELL_ANTENNAS = 1 << 31
 # Bound on the entries of any one array that the network or the allocation
 # sizes: a channel draw, a stage-1 covariance stack, a stage-2 stack, a

@@ -494,12 +494,10 @@ def iter_allocations(config, total):
     yield from rec(0, total, 0, 0)
 
 
-def reference_search(config, mode, trials=5, rng=None):
-    """One scalar decider call per allocation, the reference for
-    `feasibility.search_max_sum_dof` (without its guards), so the two must
-    return equal results."""
-    if rng is None:
-        rng = RngStream(0, 0)
+def _search_order(config):
+    """Every allocation the search walks, in its order (descending sum from
+    the largest reachable, lexicographic ascending within a sum), as
+    ``(total, examined, dof)`` with ``examined`` the 1-based position."""
     cap = min(max(config.m_alpha, config.m_beta),
               min(config.m_alpha, sum(config.n_alpha))
               + min(config.m_beta, sum(config.n_beta)))
@@ -507,10 +505,35 @@ def reference_search(config, mode, trials=5, rng=None):
     for total in range(cap, -1, -1):
         for dof in iter_allocations(config, total):
             examined += 1
-            if mode == "necessary":
-                report = check_necessary(config, dof)
-            else:
-                report = check_sufficient(config, dof, trials, rng)
-            if report.verdict:
-                return SearchResult(mode, total, dof, report, examined)
+            yield total, examined, dof
+
+
+def reference_search(config, mode, trials=5, rng=None):
+    """One scalar decider call per allocation, the reference for
+    `feasibility.search_max_sum_dof` (without its guards), so the two must
+    return equal results."""
+    if rng is None:
+        rng = RngStream(0, 0)
+    for total, examined, dof in _search_order(config):
+        if mode == "necessary":
+            report = check_necessary(config, dof)
+        else:
+            report = check_sufficient(config, dof, trials, rng)
+        if report.verdict:
+            return SearchResult(mode, total, dof, report, examined)
     raise AssertionError("unreachable: the all-zero allocation always passes")
+
+
+def reference_survivors(config):
+    """The allocations passing the search's pre-check, the reference for
+    `feasibility._survivors`: each allocation of the search order that meets
+    the stream budgets 8a-8c and the counting bound over all users (8e at
+    the pair of full user sets), both from their definitions, as
+    ``(total, examined, dof)``."""
+    for total, examined, dof in _search_order(config):
+        a, b = dof.sum_alpha, dof.sum_beta
+        free = sum(d * (n - d) for d, n in zip(dof.d_alpha + dof.d_beta,
+                                               config.n_alpha + config.n_beta))
+        if (a <= config.m_alpha and b <= config.m_beta
+                and a + b <= max(config.m_alpha, config.m_beta) and a * b <= free):
+            yield total, examined, dof

@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 from dataclasses import replace
@@ -14,9 +15,9 @@ from ia_rtdd import (BudgetError, ConfigError, DofAllocation, MatchingError,
                      feasibility)
 
 from oracles import (brute_first_violations, brute_necessary,
-                     brute_symmetric_counting, brute_violations, iter_allocations,
+                     brute_symmetric_counting, iter_allocations,
                      per_block_alignment_matrix, recursive_hall_condition,
-                     reference_search)
+                     reference_search, reference_survivors)
 
 EX1 = NetworkConfig(10, (4, 6, 6), 13, (3, 6))
 EX2 = NetworkConfig(8, (2, 3, 8), 12, (3, 7))
@@ -745,26 +746,31 @@ class TestSearch:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_allocation_blocks_follow_the_reference_order(self, seed):
-        # every allocation of each sum, in the reference's order, whatever
-        # the block size
+        # every part of one cell with its sum in a range, in itertools'
+        # (lexicographic) order, whatever the block size
         rng = np.random.default_rng(7000 + seed)
         cfg = random_small_config(rng, max_users=3, max_antennas=5)
-        for total in range(sum(cfg.n_alpha) + sum(cfg.n_beta) + 1):
-            want = [dof.d_alpha + dof.d_beta for dof in iter_allocations(cfg, total)]
-            for rows in (1, 3, 1 << 20):
-                blocks = list(feasibility._allocation_blocks(cfg, total, rows))
-                assert all(0 < len(b) <= rows for b in blocks)
-                got = [tuple(row) for b in blocks for row in b.tolist()]
-                assert got == want
+        for caps in (cfg.n_alpha, cfg.n_beta):
+            parts = list(itertools.product(*(range(n + 1) for n in caps)))
+            top = sum(caps)
+            for low, high in {(s, s) for s in range(top + 1)} | {
+                    (0, s) for s in range(top + 1)} | {(s, top) for s in range(top + 1)}:
+                want = [p for p in parts if low <= sum(p) <= high]
+                for rows in (1, 3, 1 << 20):
+                    blocks = list(feasibility._part_blocks(caps, low, high, rows))
+                    assert all(0 < len(b) <= rows for b in blocks)
+                    assert [tuple(row) for b in blocks for row in b.tolist()] == want
 
     @pytest.mark.parametrize("block_size", [feasibility.BLOCK, 1])
-    def test_necessary_filter_matches_brute_force(self, block_size):
-        # seeded blocks of random rows and of rows capped at one stream count
-        # per cell (these reach the all-users counting bound), pre-checked in
-        # chunks of ``block_size`` rows and compared row by row with 8a-8c and
-        # 8e at the full pair from the definitions; the survivors, decided by
-        # check_necessary, must match the converse from the definitions, so
-        # the pre-check drops no row that passes it
+    def test_necessary_filter_matches_brute_force(self, block_size, monkeypatch):
+        # seeded networks whose budgets often bind; every allocation within
+        # the per-user caps is sorted into search order and checked against
+        # 8a-8c and 8e at the full pair from the definitions, and the walk,
+        # with blocks of ``block_size`` entries, must keep exactly the rows
+        # passing all four, at their positions among the rows within 8a-8c;
+        # the survivors, decided by check_necessary, must match the converse
+        # from the definitions, so the pre-check drops no row that passes it
+        monkeypatch.setattr(feasibility, "BLOCK", block_size)
         seen = {"pass": 0, "budgets_fail": 0, "full_pair_fails": 0,
                 "smaller_pair_only": 0}
         for seed in range(40):
@@ -775,35 +781,93 @@ class TestSearch:
             cfg = NetworkConfig(int(rng.integers(total // 2, total + 1)), n_alpha,
                                 int(rng.integers(total // 2, total + 1)), n_beta)
             num_a = cfg.num_alpha
-            caps = np.array(n_alpha + n_beta)
-            capped = [np.minimum(caps, [a] * num_a + [b] * cfg.num_beta)
-                      for a in range(1, 5) for b in range(1, 5)]
-            block = np.concatenate((rng.integers(0, caps + 1, (20, len(caps))), capped))
-            full = (tuple(range(num_a)), tuple(range(cfg.num_beta)))
-            want_kept, want_decided = [], []
-            for row in block.tolist():
+            rows = sorted(itertools.product(*(range(n + 1) for n in n_alpha + n_beta)),
+                          key=lambda row: (-sum(row), row))
+            want_kept, want_decided, examined = [], [], 0
+            for row in rows:
                 d_a, d_b = row[:num_a], row[num_a:]
-                verdict = brute_necessary(cfg, d_a, d_b)
-                bound, count = brute_violations(cfg, d_a, d_b)
-                budgets = verdict["8a"] and verdict["8b"] and verdict["8c"]
-                want_kept.append(budgets and full not in count)
-                want_decided.append(all(verdict.values()))
-                if not budgets:
+                a, b = sum(d_a), sum(d_b)
+                if not (a <= cfg.m_alpha and b <= cfg.m_beta
+                        and a + b <= max(cfg.m_alpha, cfg.m_beta)):
                     seen["budgets_fail"] += 1
-                elif full in count:
+                    continue
+                examined += 1
+                if a * b > sum(d * (n - d) for d, n in zip(row, n_alpha + n_beta)):
                     seen["full_pair_fails"] += 1
-                elif bound or count:
-                    seen["smaller_pair_only"] += 1
-                else:
-                    seen["pass"] += 1
-            kept = np.concatenate([feasibility._precheck(cfg, block[i:i + block_size])
-                                   for i in range(0, len(block), block_size)])
-            assert kept.tolist() == want_kept
-            decided = [bool(keep) and ia.check_necessary(cfg, DofAllocation(
-                tuple(row[:num_a]), tuple(row[num_a:]))).verdict
-                for keep, row in zip(kept.tolist(), block.tolist())]
-            assert decided == want_decided
+                    continue
+                dof = DofAllocation(d_a, d_b)
+                want_kept.append((a + b, examined, dof))
+                verdict = brute_necessary(cfg, d_a, d_b)
+                want_decided.append(all(verdict.values()))
+                seen["pass" if want_decided[-1] else "smaller_pair_only"] += 1
+            kept = list(feasibility._survivors(cfg))
+            assert kept == want_kept
+            assert [ia.check_necessary(cfg, dof).verdict
+                    for _, _, dof in kept] == want_decided
         assert all(seen.values()), seen
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from(["random", "1+5", "5+1"]))
+    def test_survivors_match_reference(self, seed, shape):
+        # the walk's survivors, their order and every examined position,
+        # against the walk over all allocations, with the default block size
+        # and with blocks of one entry; lopsided networks enumerate the parts
+        # of one cell far more than those of the other, and most networks
+        # have totals without a survivor, which the walk skips
+        rng = np.random.default_rng(seed)
+        users = {"random": rng.integers(1, 4, 2), "1+5": (1, 5), "5+1": (5, 1)}[shape]
+        n_alpha, n_beta = (tuple(int(n) for n in rng.integers(1, 5, k)) for k in users)
+        cfg = NetworkConfig(int(rng.integers(1, sum(n_alpha) + 2)), n_alpha,
+                            int(rng.integers(1, sum(n_beta) + 2)), n_beta)
+        want = list(reference_survivors(cfg))
+        assert list(feasibility._survivors(cfg)) == want
+        with mock.patch.object(feasibility, "BLOCK", 1):
+            assert list(feasibility._survivors(cfg)) == want
+
+    @pytest.mark.parametrize("block_size", [feasibility.BLOCK, 1])
+    @pytest.mark.parametrize("cfg", [
+        NetworkConfig(4, (2,), 6, (1,) * 5), NetworkConfig(6, (1,) * 5, 4, (2,)),
+        NetworkConfig(9, (4, 1), 12, (3, 2)), NetworkConfig(7, (1, 4, 2), 11, (4, 3))])
+    def test_survivors_cross_skipped_totals(self, cfg, block_size, monkeypatch):
+        # totals with allocations but no survivor are skipped and counted
+        # from the tables; the positions after them must still match
+        monkeypatch.setattr(feasibility, "BLOCK", block_size)
+        want = list(reference_survivors(cfg))
+        skipped = {t for t in range(max(cfg.m_alpha, cfg.m_beta) + 1)
+                   if any(iter_allocations(cfg, t))} - {t for t, _, _ in want}
+        assert skipped
+        assert list(feasibility._survivors(cfg)) == want
+
+    def test_walk_blocks_stay_within_the_block_budget(self, monkeypatch):
+        # with a budget of 8 entries, every block of parts the walk builds
+        # holds at most 8 entries, and the survivors are unchanged
+        monkeypatch.setattr(feasibility, "BLOCK", 8)
+        sizes, part_blocks = [], feasibility._part_blocks
+
+        def record(*args):
+            for block in part_blocks(*args):
+                sizes.append(block.size)
+                yield block
+
+        monkeypatch.setattr(feasibility, "_part_blocks", record)
+        assert list(feasibility._survivors(EX1)) == list(reference_survivors(EX1))
+        assert max(sizes) <= 8 < sum(sizes)
+
+    @pytest.mark.parametrize("cfg, want", [
+        (NetworkConfig(19, (1,) * 19, 1, (1,)), (19, 20, 19, 20)),
+        (NetworkConfig(1, (1,), 19, (1,) * 19), (19, 1, 19, 1))])
+    def test_search_enumerates_lazily(self, cfg, want):
+        # 2^19 parts in the 19-user cell; the walk builds only those of the
+        # sums it reaches, so the search stays far below a cell's worth
+        tracemalloc.start()
+        try:
+            got = ia.search_optimal(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nec, suf = got["necessary"], got["sufficient"]
+        assert (nec.d_sum, nec.examined, suf.d_sum, suf.examined) == want
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("mode", ["necessary", "sufficient"])
     @pytest.mark.parametrize("name", ["EX1", "EX2", "dual_EX1", "EX4", "SIM", "mixed"])

@@ -24,21 +24,32 @@ def _random_allocation(rng, n):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_stacked_violations_match_one_allocation_at_a_time(seed):
-    # six allocations of a network of up to 6+6 users pre-checked as one
-    # block and scanned one at a time, against the definitions
+    # six allocations of a network of up to 6+6 users scanned one at a time,
+    # against the definitions; the search's per-cell tables, checked against
+    # every part of each cell, let each allocation that passes the converse
+    # through the pre-check: the uplink cell's largest d(N - d) at its sum
+    # bounds its own, so the downlink filter keeps it
     rng = np.random.default_rng(200 + seed)
     k, l = (int(v) for v in rng.integers(1, 7, size=2))
     n_a = tuple(int(v) for v in rng.integers(1, 7, size=k))
     n_b = tuple(int(v) for v in rng.integers(1, 7, size=l))
     cfg = NetworkConfig(99, n_a, 99, n_b)
-    block = np.array([_random_allocation(rng, n_a) + _random_allocation(rng, n_b)
-                      for _ in range(6)])
-    got = ia.feasibility._precheck(cfg, block).tolist()
-    for row, keep in zip(block.tolist(), got):
-        d_a, d_b = row[:k], row[k:]
+    tables = [ia.feasibility._cell_tables(n, 99) for n in (n_a, n_b)]
+    for n, (count, top) in zip((n_a, n_b), tables):
+        parts = np.indices([v + 1 for v in n]).reshape(len(n), -1).T
+        sums, free = parts.sum(axis=1), (parts * (np.array(n) - parts)).sum(axis=1)
+        want_top = np.full(sum(n) + 1, -1)
+        np.maximum.at(want_top, sums, free)
+        assert count.tolist() == np.bincount(sums).tolist()
+        assert top.tolist() == want_top.tolist()
+    for _ in range(6):
+        d_a, d_b = _random_allocation(rng, n_a), _random_allocation(rng, n_b)
         verdict = brute_necessary(cfg, d_a, d_b)
         scanned = _kernels.subset_scan(d_a, n_a, d_b, n_b) == (None, None)
         assert scanned == (verdict["8d"] and verdict["8e"])
+        need = sum(d_a) * sum(d_b) - sum(d * (n - d) for d, n in zip(d_a, n_a))
+        keep = (tables[1][1][sum(d_b)] >= need
+                and sum(d * (n - d) for d, n in zip(d_b, n_b)) >= need)
         assert keep or not all(verdict.values())
 
 
